@@ -439,9 +439,12 @@ class FuseService:
             self._liveness_timeout
         ):
             return
+        # The handle lives on ``state``, so its callback (like those of the
+        # three other state timers) must not hold ``state``: a crash drops
+        # the state uncancelled, and the pair would be a reference cycle.
         state.bootstrap_timer = self.host.call_after(
             self._liveness_timeout,
-            lambda: self._on_bootstrap_timeout(state.fuse_id),
+            lambda fuse_id=state.fuse_id: self._on_bootstrap_timeout(fuse_id),
             label=f"{self.name}:fuse-bootstrap",
         )
 
@@ -460,7 +463,7 @@ class FuseService:
             return
         state.install_timer = self.host.call_after(
             self.config.install_timeout_ms,
-            lambda: self._on_install_timeout(state.fuse_id),
+            lambda fuse_id=state.fuse_id: self._on_install_timeout(fuse_id),
             label=f"{self.name}:fuse-install",
         )
 
@@ -736,7 +739,7 @@ class FuseService:
         )
         state.need_repair_timer = self.host.call_after(
             self.config.member_repair_timeout_ms,
-            lambda: self._on_member_repair_timeout(state.fuse_id),
+            lambda fuse_id=state.fuse_id: self._on_member_repair_timeout(fuse_id),
             label=f"{self.name}:fuse-needrepair",
         )
 
@@ -783,7 +786,7 @@ class FuseService:
         )
         state.repair_scheduled = self.host.call_after(
             delay,
-            lambda: self._do_repair(state.fuse_id),
+            lambda fuse_id=state.fuse_id: self._do_repair(fuse_id),
             label=f"{self.name}:fuse-repair",
         )
 

@@ -12,7 +12,7 @@ message-cost accounting of Fig 10 and §7.5.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.net.address import NodeId
 
@@ -35,6 +35,9 @@ class Message:
     """
 
     __slots__ = ("sender",)
+
+    #: every slot of an instance, base classes first (what ``__copy__`` walks)
+    _slot_names: Tuple[str, ...] = ("sender",)
 
     size_bytes: int = 256
 
@@ -60,6 +63,29 @@ class Message:
     # (pings/acks) does.  Leave it True for anything a caller retains,
     # re-sends, or that receivers mutate (e.g. routed envelopes).
     copy_on_send: bool = True
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._slot_names = tuple(
+            name for klass in reversed(cls.__mro__) for name in klass.__dict__.get("__slots__", ())
+        )
+
+    def __copy__(self) -> "Message":
+        """``copy.copy`` without its ``__reduce_ex__`` / ``copyreg`` round
+        trip, which the network would pay on every send: same class, same
+        slot values (an unset slot stays unset, so ``sender`` still reads
+        None), and a shallow copy of a subclass's ``__dict__``."""
+        cls = type(self)
+        clone = cls.__new__(cls)
+        read = object.__getattribute__  # raises on an unset slot; getattr would not
+        for name in cls._slot_names:
+            try:
+                setattr(clone, name, read(self, name))
+            except AttributeError:
+                pass
+        if cls.__dictoffset__:
+            clone.__dict__.update(self.__dict__)
+        return clone
 
     @property
     def type_name(self) -> str:

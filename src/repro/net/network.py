@@ -243,7 +243,6 @@ class _SendAttemptState:
         "src_incarnation",
         "attempt_index",
         "rto_ms",
-        "deliver_cb",
     )
 
     def __init__(
@@ -267,9 +266,6 @@ class _SendAttemptState:
         self.src_incarnation = src_incarnation
         self.attempt_index = 0
         self.rto_ms = network.config.rto_initial_ms
-        # Bind the delivery callback once; attempt() would otherwise
-        # allocate a fresh closure on every successful transmission.
-        self.deliver_cb = self._deliver_now
 
     def attempt(self) -> None:
         net = self.network
@@ -315,7 +311,9 @@ class _SendAttemptState:
             arrival = net._clock._now + extra + latency + jitter + config.recv_overhead_ms
             net._queue_push(
                 arrival,
-                self.deliver_cb,
+                # Bound here, never stored on self: a state holding a bound
+                # method of itself is a cycle only the collector can free.
+                self._deliver_now,
                 f"rx:{type(self.message).__name__}" if tracing else "",
             )
             return

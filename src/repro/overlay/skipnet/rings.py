@@ -16,15 +16,15 @@ O(affected) rather than O(deployment).
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.overlay.id_space import NameId, numeric_id_for
 
 
 class NodeTable:
-    """One node's computed routing state."""
+    """One node's computed routing state; immutable once built."""
 
-    __slots__ = ("name", "leaf_set", "ring_neighbors", "levels")
+    __slots__ = ("name", "leaf_set", "ring_neighbors", "levels", "_neighbor_names")
 
     def __init__(
         self,
@@ -37,14 +37,19 @@ class NodeTable:
         # (level, clockwise, counterclockwise) per level with >= 2 members.
         self.ring_neighbors = tuple(ring_neighbors)
         self.levels = len(self.ring_neighbors)
+        self._neighbor_names: Optional[FrozenSet[NameId]] = None
 
-    def neighbor_names(self) -> Set[NameId]:
-        """All distinct neighbors (leaf set union ring pointers)."""
-        names: Set[NameId] = set(self.leaf_set)
-        for _level, cw, ccw in self.ring_neighbors:
-            names.add(cw)
-            names.add(ccw)
-        names.discard(self.name)
+    def neighbor_names(self) -> FrozenSet[NameId]:
+        """All distinct neighbors (leaf set union ring pointers); built
+        on first use and kept, because every routed hop reads it."""
+        names = self._neighbor_names
+        if names is None:
+            found: Set[NameId] = set(self.leaf_set)
+            for _level, cw, ccw in self.ring_neighbors:
+                found.add(cw)
+                found.add(ccw)
+            found.discard(self.name)
+            names = self._neighbor_names = frozenset(found)
         return names
 
     def __repr__(self) -> str:
@@ -110,10 +115,10 @@ class RingStructure:
             return set()
         affected: Set[NameId] = set()
         for level, prefix in enumerate(self._prefixes(name)):
-            ring = self._rings.get(prefix)
-            if ring is None or name not in ring:
-                break
+            ring = self._rings.get(prefix, ())
             index = bisect.bisect_left(ring, name)
+            if index == len(ring) or ring[index] != name:
+                break  # no such ring, or the name never reached this level
             ring.pop(index)
             if not ring:
                 if prefix:

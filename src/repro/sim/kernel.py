@@ -30,6 +30,7 @@ wrapper used by synchronous drivers.
 
 from __future__ import annotations
 
+import gc
 from heapq import heappop
 from typing import Any, Callable, Optional
 
@@ -159,6 +160,11 @@ class Simulator:
         self._running = True
         self._stop_requested = False
         dispatched = 0
+        # Dispatch allocates no reference cycles (the gate is
+        # tests/test_acyclic_dispatch.py), so collections here would only
+        # re-walk the built world: they wait until run() returns.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         # The dispatch loop works the heap directly: one pop per event,
         # cancelled entries shed inline, the until/max_events guards and
         # the clock advance inlined.  The queue invariants (pending-set
@@ -231,6 +237,8 @@ class Simulator:
         finally:
             self._dispatched += dispatched
             self._running = False
+            if gc_was_enabled:
+                gc.enable()
         return dispatched
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> int:

@@ -483,7 +483,7 @@ class LanePlane:
                     heappush(heap, (f.when, f.seq, state.attempt,
                                     _TX_PING if tracing else ""))
                 else:
-                    heappush(heap, (f.when, f.seq, state.deliver_cb,
+                    heappush(heap, (f.when, f.seq, state._deliver_now,
                                     _RX_PING if tracing else ""))
                 pending.add(f.seq)
             elif kind == _ACK_ATTEMPT or kind == _ACK_DELIVER:
@@ -496,7 +496,7 @@ class LanePlane:
                     heappush(heap, (f.when, f.seq, state.attempt,
                                     _TX_ACK if tracing else ""))
                 else:
-                    heappush(heap, (f.when, f.seq, state.deliver_cb,
+                    heappush(heap, (f.when, f.seq, state._deliver_now,
                                     _RX_ACK if tracing else ""))
                 pending.add(f.seq)
             # _IDLE: nothing in flight (dead receiver / dead sender leg);

@@ -1,8 +1,16 @@
 """Property-based tests (hypothesis) on core data structures and the
 one-way agreement invariant."""
 
+import copy
+import inspect
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.apps.svtree.messages
+import repro.fuse.messages
+import repro.overlay.skipnet.messages
+from repro.net.message import Message
 from repro.overlay.id_space import clockwise_between, numeric_id_for
 from repro.overlay.skipnet.rings import RingStructure
 from repro.sim import CdfSeries, EventQueue, Simulator, percentile
@@ -74,6 +82,59 @@ class TestMetricsProperties:
         for fraction in (0.25, 0.5, 0.75, 1.0):
             value = cdf.value_at_fraction(fraction)
             assert cdf.fraction_at_or_below(value) >= fraction - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Message.__copy__ against the generic copyreg copy it replaces
+# ---------------------------------------------------------------------------
+
+MESSAGE_CLASSES = sorted(
+    {
+        cls
+        for module in (
+            repro.overlay.skipnet.messages,
+            repro.fuse.messages,
+            repro.apps.svtree.messages,
+        )
+        for cls in vars(module).values()
+        if inspect.isclass(cls) and issubclass(cls, Message) and cls is not Message
+    },
+    key=lambda cls: cls.__qualname__,
+)
+
+
+UNSET = object()
+
+
+class TestMessageCopyProperties:
+    def test_covers_the_wire_vocabulary(self):
+        assert len(MESSAGE_CLASSES) >= 20
+
+    @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda cls: cls.__name__)
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_equals_the_copyreg_copy(self, cls, data):
+        slots = [name for klass in cls.__mro__ for name in vars(klass).get("__slots__", ())]
+        has_dict = cls.__dictoffset__ != 0
+        attributes = slots + (["topic", "path"] if has_dict else [])
+        message = cls.__new__(cls)
+        # Every value is a fresh mutable container, so identity tells a
+        # shared reference from a copied one; the other slots stay unset.
+        for name in data.draw(st.lists(st.sampled_from(attributes), unique=True)):
+            setattr(message, name, [name])
+
+        ours = copy.copy(message)
+        reference = copy._reconstruct(message, None, *message.__reduce_ex__(4))
+
+        assert type(ours) is type(reference) is cls
+        for name in slots:  # an unset ``sender`` reads None, any other raises
+            value = getattr(message, name, UNSET)
+            assert getattr(ours, name, UNSET) is getattr(reference, name, UNSET) is value
+        if has_dict:
+            assert ours.__dict__ is not message.__dict__
+            assert list(ours.__dict__) == list(reference.__dict__)
+            for name, value in message.__dict__.items():
+                assert ours.__dict__[name] is reference.__dict__[name] is value
 
 
 # ---------------------------------------------------------------------------

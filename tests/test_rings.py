@@ -32,6 +32,23 @@ class TestMembership:
         rings = make_rings(["a"])
         assert rings.remove("zzz") == set()
 
+    @pytest.mark.parametrize("first, second", [("node-001", "node-030"), ("node-030", "node-001")])
+    def test_remove_stops_at_a_deeper_ring_without_the_name(self, first, second):
+        # Both names share the numeric prefix (5, 5).  ``add`` stops
+        # walking at the first singleton ring, so the earlier joiner is in
+        # rings () and (5,) only, while ring (5, 5) holds just the later
+        # one: removing the earlier must stop there, not disturb it.
+        rings = make_rings([first, second])
+        assert rings._rings[(5, 5)] == [second]
+        affected = rings.remove(first)
+        assert affected == {second}
+        assert first not in rings and len(rings) == 1
+        assert rings.members() == [second]
+        assert rings._rings[(5,)] == [second]
+        assert rings._rings[(5, 5)] == [second]
+        assert rings.table_for(second).neighbor_names() == set()
+        assert rings.add(first) == {second}  # and it can come back
+
     def test_members_sorted(self):
         rings = make_rings(["c", "a", "b"])
         assert rings.members() == ["a", "b", "c"]
