@@ -96,7 +96,6 @@ class FuseService:
         "_liveness_timeout",
         "_fuse_id_serial",
         "_stable_store",
-        "_links_gen",
         "_shared_cache",
     )
 
@@ -123,10 +122,10 @@ class FuseService:
         # _shared_ids scans every group for link membership — the hottest
         # FUSE call in steady state (twice per ping, plus evidence on
         # both ends).  Healthy pings only *reschedule* link timers, so
-        # the scan result is stable between membership changes: every
-        # site that adds/removes a group or changes a links key-set
-        # bumps _links_gen, and the per-neighbor cache keys on it.
-        self._links_gen = 0
+        # the scan result for a neighbor is stable until a link to *that
+        # neighbor* appears or goes away: the sites that change a links
+        # key-set (or drop a state that has links) pop the neighbors they
+        # touch from this memo of [ids, sha1, payload] per neighbor.
         self._shared_cache: Dict[NodeId, list] = {}
         self._liveness_timeout = self.config.effective_liveness_timeout(
             overlay_node.config.liveness_silence_ms
@@ -163,7 +162,6 @@ class FuseService:
         state and harden into notifications."""
         self.groups.clear()
         self._last_list_sent.clear()
-        self._links_gen += 1
         self._shared_cache.clear()
 
     def _on_host_recover(self) -> None:
@@ -189,7 +187,6 @@ class FuseService:
             state.member_ids = list(record["member_ids"])
             state.member_names = list(record["member_names"])
             self.groups[fuse_id] = state
-            self._links_gen += 1
             if state.is_root:
                 # Rebuild the whole checking tree via a repair round.
                 state.pending_installs = set(state.member_names)
@@ -267,7 +264,6 @@ class FuseService:
         state.member_names = [self._name_of(m) for m in member_ids]
         state.pending_installs = set(state.member_names)
         self.groups[fuse_id] = state
-        self._links_gen += 1
         self.sim.metrics.counter("fuse.create_attempts").increment()
 
         handle = FuseGroup(
@@ -420,7 +416,6 @@ class FuseService:
             is_member=True,
         )
         self.groups[request.fuse_id] = state
-        self._links_gen += 1
         self._persist(state)
         self._arm_bootstrap_timer(state)
         self.host.respond(request, GroupCreateReply(request.fuse_id, ok=True))
@@ -502,7 +497,6 @@ class FuseService:
                 created_at=self.sim.now,
             )
             self.groups[payload.fuse_id] = state
-            self._links_gen += 1
         state.seq = payload.seq
         for hop in (prev_hop, next_hop):
             if hop is not None and hop != self.host.node_id:
@@ -542,7 +536,7 @@ class FuseService:
         if existing is not None and existing.reschedule_after(self._liveness_timeout):
             return
         state.links[neighbor] = self._make_link_timer(state.fuse_id, neighbor)
-        self._links_gen += 1
+        self._shared_cache.pop(neighbor, None)
 
     def _make_link_timer(self, fuse_id: FuseId, neighbor: NodeId):
         return self.host.call_after(
@@ -555,13 +549,13 @@ class FuseService:
         if not self.groups:
             return []  # fast path: dominant during bootstrap at scale
         entry = self._shared_cache.get(neighbor)
-        if entry is not None and entry[0] == self._links_gen:
-            return entry[1]
+        if entry is not None:
+            return entry[0]
         ids = [
             fuse_id for fuse_id, state in self.groups.items() if neighbor in state.links
         ]
         ids.sort()
-        self._shared_cache[neighbor] = [self._links_gen, ids, None, None]
+        self._shared_cache[neighbor] = [ids, None, None]
         return ids
 
     @staticmethod
@@ -572,32 +566,32 @@ class FuseService:
         """sha1 of the shared-id list, memoized alongside the cached list
         (the ids of a healthy link hash identically every ping)."""
         entry = self._shared_cache.get(neighbor)
-        if entry is not None and entry[0] == self._links_gen and entry[1] is ids:
-            digest = entry[2]
+        if entry is not None and entry[0] is ids:
+            digest = entry[1]
             if digest is None:
-                digest = entry[2] = self._hash_ids(ids)
+                digest = entry[1] = self._hash_ids(ids)
             return digest
         return self._hash_ids(ids)
 
     def _payload_for(self, neighbor: NodeId) -> Optional[dict]:
         # The piggyback dict for a healthy link is the same every ping
         # (it only carries the shared-id hash), so it is memoized next to
-        # the id list and invalidated by the same generation bump.
+        # the id list and dropped with it.
         if not self.groups:
             return None
         entry = self._shared_cache.get(neighbor)
-        if entry is None or entry[0] != self._links_gen:
+        if entry is None:
             self._shared_ids(neighbor)
             entry = self._shared_cache[neighbor]
-        payload = entry[3]
+        payload = entry[2]
         if payload is None:
-            ids = entry[1]
+            ids = entry[0]
             if not ids:
                 return None
-            digest = entry[2]
+            digest = entry[1]
             if digest is None:
-                digest = entry[2] = self._hash_ids(ids)
-            payload = entry[3] = {"fuse": {"hash": digest}}
+                digest = entry[1] = self._hash_ids(ids)
+            payload = entry[2] = {"fuse": {"hash": digest}}
         return payload
 
     def _on_ping_evidence(self, neighbor: NodeId, payload: dict, _is_ack: bool) -> None:
@@ -644,7 +638,7 @@ class FuseService:
                 timer = state.links.pop(peer, None)
                 if timer is not None:
                     timer.cancel()
-                    self._links_gen += 1
+                    self._shared_cache.pop(peer, None)
                 self._local_tree_failure(state, "reconcile-disagreement")
         # Groups the peer has but we do not: the peer's own reconciliation
         # (triggered by our hash) removes them on its side; replying with
@@ -657,7 +651,7 @@ class FuseService:
         timer = state.links.pop(neighbor, None)
         if timer is not None:
             timer.cancel()
-            self._links_gen += 1
+            self._shared_cache.pop(neighbor, None)
         self.sim.metrics.counter("fuse.link_timeouts").increment()
         self._local_tree_failure(state, "link-timeout")
 
@@ -671,7 +665,7 @@ class FuseService:
             timer = state.links.pop(neighbor, None)
             if timer is not None:
                 timer.cancel()
-                self._links_gen += 1
+                self._shared_cache.pop(neighbor, None)
             self._local_tree_failure(state, f"overlay-{reason}")
 
     # ------------------------------------------------------------------
@@ -685,10 +679,11 @@ class FuseService:
             self.host.send(neighbor, SoftNotification(state.fuse_id, state.seq))
 
     def _clear_links(self, state: GroupState) -> None:
-        for timer in state.links.values():
+        forget = self._shared_cache.pop
+        for neighbor, timer in state.links.items():
             timer.cancel()
+            forget(neighbor, None)
         state.links.clear()
-        self._links_gen += 1
 
     def _local_tree_failure(self, state: GroupState, reason: str, exclude: Optional[NodeId] = None) -> None:
         """This node's view of the group's checking tree is broken (§6.3):
@@ -882,7 +877,7 @@ class FuseService:
         and RegisterFailureHandler fire immediately."""
         if self.groups.pop(state.fuse_id, None) is None:
             return
-        self._links_gen += 1
+        self._clear_links(state)
         state.cancel_all_timers()
         self._unpersist(state.fuse_id)
         self.notifications[state.fuse_id] = reason
@@ -898,7 +893,7 @@ class FuseService:
         """Silent teardown for delegate-only or never-completed state."""
         if self.groups.pop(state.fuse_id, None) is None:
             return
-        self._links_gen += 1
+        self._clear_links(state)
         state.cancel_all_timers()
         self._unpersist(state.fuse_id)
 

@@ -318,17 +318,26 @@ class _SendAttemptState:
             )
             return
 
-        # Segment lost: back off and retry, or break the connection.
-        if self.attempt_index < config.max_retries:
-            self.attempt_index += 1
-            delay = self.rto_ms
-            self.rto_ms *= config.rto_backoff
+        delay = self._segment_lost()
+        if delay is not None:
             net._queue_push(
                 net._clock._now + delay,
                 self.attempt,
                 f"rtx:{type(self.message).__name__}" if tracing else "",
             )
-            return
+
+    def _segment_lost(self) -> Optional[float]:
+        """Segment lost: back off and return the delay before the next
+        attempt, or — retries exhausted — break the connection and return
+        None.  The caller schedules the retry: the scalar path as a heap
+        event, the lane plane (:mod:`repro.sim.lanes`) as a micro-event."""
+        net = self.network
+        config = net.config
+        if self.attempt_index < config.max_retries:
+            self.attempt_index += 1
+            delay = self.rto_ms
+            self.rto_ms *= config.rto_backoff
+            return delay
 
         # Retries exhausted: the socket breaks.
         net._break_connection(self.src, self.dst)
@@ -338,8 +347,9 @@ class _SendAttemptState:
             net.sim.schedule_after(
                 self.rto_ms,
                 lambda: self._report_failure(on_fail),
-                label=f"brk:{type(self.message).__name__}" if tracing else "",
+                label=f"brk:{type(self.message).__name__}" if net._tracing else "",
             )
+        return None
 
     def _deliver_now(self) -> None:
         self.network._deliver(self.src, self.dst, self.message)

@@ -230,7 +230,7 @@ class OverlayNode:
         if plane is not None:
             # Materialize any laned timers first so the cancellation
             # below sees exactly the handles the scalar path would hold.
-            plane.eject_node(self)
+            plane.eject_node(self, "teardown")
         self.joined = False
         if self._sweep_timer is not None:
             self._sweep_timer.cancel()
@@ -253,7 +253,7 @@ class OverlayNode:
         if plane is not None:
             # A table change is lane-heterogeneous (the neighbor set the
             # lane snapshotted may be stale): back to the scalar path.
-            plane.eject_node(self)
+            plane.eject_node(self, "table_change")
         self.table = table
         self._neighbor_cache = None
         if not self.joined:

@@ -36,13 +36,25 @@ golden dispatch trace and the figure/scenario fixtures:
 * Payload collection and ping/ack listener delivery call the *real*
   FUSE evidence hooks, so notification-relevant behavior is untouched.
 
-A lane goes heterogeneous — a fault is injected, loss changes mid-window
-(``Topology.generation``), a pending-ack timeout is about to fire, a
-transmission drops, the node's table changes, or the node crashes or is
-torn down — and its members *eject* to the classic scalar path: every
-virtual timer and in-flight transmission is materialized back onto the
-main heap with its recorded ``(when, seq)``, after which the run is
-indistinguishable from one that never laned.
+A node stays laned through packet loss and through faults that do not
+concern it.  A lost ping or ack attempt is retransmitted *in the lane*: the
+retry is a micro-event at ``now + rto``, its backoff state a
+:class:`~repro.net.network._SendAttemptState` advanced by the same
+retry-or-break routine the scalar path runs.  A fault mutation only
+refreshes ``faults_clear`` and the connection-set reference, because every
+fault-dependent decision is taken live per micro-event
+(``can_communicate``, ``host.alive``, ``incarnation``); what a lane
+*snapshots* — route latency and loss — is guarded by
+``Topology.generation``, and only that (or a performance-fault window,
+whose timing the micro-engine does not model) flushes every lane.
+
+A node goes heterogeneous — its retransmissions are exhausted and the
+connection breaks, a pending-ack timeout is about to fire, its table
+changes, or it crashes or is torn down — and *ejects* to the classic
+scalar path: every virtual timer and in-flight transmission, including a
+retry mid-backoff, is materialized back onto the main heap with its
+recorded ``(when, seq)``, after which the run is indistinguishable from
+one that never laned.
 
 numpy is gated exactly like scipy in :mod:`repro.net.routing`: an
 optional import with an identical pure-Python fallback (tier-1 stays
@@ -85,8 +97,22 @@ _ATTEMPT = 1      # obj = _Flight: ping transmission attempt (A -> B)
 _DELIVER = 2      # obj = _Flight: ping arrival at the neighbor
 _ACK_ATTEMPT = 3  # obj = _Flight: ack transmission attempt (B -> A)
 _ACK_DELIVER = 4  # obj = _Flight: ack arrival back at the pinger
-_IDLE = 5         # flight has no pending progress event (timeout only)
-_REAL = 6         # flight's progress event was materialized onto the heap
+_RETRY = 5        # obj = _Flight: ping retransmission (state in _retries)
+_ACK_RETRY = 6    # obj = _Flight: ack retransmission (state in _retries)
+_IDLE = 7         # flight has no pending progress event (timeout only)
+
+# Flight kind -> (scalar dispatch label, ack leg?, delivery?) of the
+# pending progress event, for materialization.
+_PROGRESS = {
+    _ATTEMPT: (_TX_PING, False, False),
+    _DELIVER: (_RX_PING, False, True),
+    _ACK_ATTEMPT: (_TX_ACK, True, False),
+    _ACK_DELIVER: (_RX_ACK, True, True),
+    _RETRY: (_RTX_PING, False, False),
+    _ACK_RETRY: (_RTX_ACK, True, False),
+}
+
+EJECT_CAUSES = ("flush", "retries_exhausted", "ping_timeout", "table_change", "teardown")
 
 # Minimum sends per sweep before the numpy cumulative sum pays for its
 # array setup; below this the pure-Python chain is used even with numpy.
@@ -236,8 +262,6 @@ class LanePlane:
         self._recv_oh = config.recv_overhead_ms
         self._jitter = config.jitter_fraction
         self._setup2 = config.connection_setup_rtts * 2.0
-        self._rto_initial = config.rto_initial_ms
-        self._rto_backoff = config.rto_backoff
         ocfg = overlay.config
         self._period = ocfg.ping_period_ms
         self._timeout = ocfg.ping_timeout_ms
@@ -264,12 +288,16 @@ class LanePlane:
         # micro-heap holds only in-flight transmissions — hundreds at
         # 16,000 nodes instead of one entry per node.
         self._sweeps = deque()      # entries in sweep-deadline order
+        # Flights with a retransmission pending (kind _RETRY/_ACK_RETRY)
+        # -> their _SendAttemptState mid-backoff.  Touched only when an
+        # attempt is lost, so the loss-free path carries no retry state.
+        self._retries = {}
         self._suspended = 0
 
         # Introspection for benchmarks/tests.
         self.micro_dispatched = 0
         self.absorbs = 0
-        self.ejects = 0
+        self.ejects_by_cause = dict.fromkeys(EJECT_CAUSES, 0)
         self.flushes = 0
 
     # ------------------------------------------------------------------
@@ -292,6 +320,10 @@ class LanePlane:
     def is_laned(self, node) -> bool:
         return node in self._entries
 
+    @property
+    def ejects(self) -> int:
+        return sum(self.ejects_by_cause.values())
+
     def stats(self) -> dict:
         return {
             "backend": self.backend,
@@ -299,6 +331,7 @@ class LanePlane:
             "micro_events_dispatched": self.micro_dispatched,
             "absorbs": self.absorbs,
             "ejects": self.ejects,
+            "ejects_by_cause": dict(self.ejects_by_cause),
             "flushes": self.flushes,
         }
 
@@ -322,11 +355,11 @@ class LanePlane:
             # Latency-inflation / bandwidth-contention windows change
             # packet timing per endpoint — heterogeneity the batched
             # micro-engine does not model.  Stay scalar until the window
-            # heals (the heal's mutation bump flushes, and absorption
-            # resumes at the next sweep).  Gray failure needs no refusal:
-            # it only drops application-class messages, and the lane plane
-            # replays nothing but liveness pings and acks, which gray
-            # nodes answer by definition.
+            # heals (installing it flushed every lane; absorption resumes
+            # at the first sweep after the heal).  Gray failure needs no
+            # refusal: it only drops application-class messages, and the
+            # lane plane replays nothing but liveness pings and acks,
+            # which gray nodes answer by definition.
             return False
         nbr_ids = node._neighbor_ids()
         if not nbr_ids:
@@ -392,24 +425,25 @@ class LanePlane:
     # ------------------------------------------------------------------
     # Ejection
     # ------------------------------------------------------------------
-    def eject_node(self, node) -> bool:
+    def eject_node(self, node, cause: str) -> bool:
         """Return ``node`` to the scalar path, materializing its virtual
-        timers and in-flight transmissions onto the main heap."""
+        timers and in-flight transmissions onto the main heap.  ``cause``
+        (one of :data:`EJECT_CAUSES`) says where the eject originates."""
         entry = self._entries.pop(node, None)
         if entry is None:
             return False
         self._materialize(entry)
-        self.ejects += 1
+        self.ejects_by_cause[cause] += 1
         return True
 
     def flush(self) -> None:
-        """Eject every laned node (loss/fault state changed)."""
+        """Eject every laned node (a lane snapshot went stale)."""
         entries = self._entries
         if not entries:
             return
         for entry in list(entries.values()):
             self._materialize(entry)
-            self.ejects += 1
+        self.ejects_by_cause["flush"] += len(entries)
         entries.clear()
         self.flushes += 1
         # Every queued micro-event is now stale; drop them eagerly.
@@ -419,18 +453,25 @@ class LanePlane:
 
     def _check_invalidations(self) -> None:
         gen = self._topology.generation
-        fault_gen = self._faults.mutation_count
-        if gen != self._gen or fault_gen != self._fault_gen:
-            self._gen = gen
+        faults = self._faults
+        fault_gen = faults.mutation_count
+        if fault_gen != self._fault_gen:
+            # Fault state is read live per micro-event (can_communicate,
+            # host.alive, incarnation), so a mutation only refreshes the
+            # faults_clear fast path and the connection set, which
+            # crash/disconnect purge by *rebinding*
+            # (Network._purge_connections).  Nobody is ejected unless the
+            # mutation opened a performance-fault window.
             self._fault_gen = fault_gen
-            self._faults_clear = not self._faults.any_faults()
-            # crash/disconnect purge connections by *rebinding* the set
-            # (Network._purge_connections); both bump the fault counter,
-            # so this is the one place the reference can go stale.
+            self._faults_clear = not faults.any_faults()
             self._connections = self._net._connections
-            # Latency/loss snapshots and the faults_clear fast path are
-            # stale: everyone goes back to the scalar path and re-forms
-            # lanes (with fresh snapshots) at their next sweep.
+            if faults.has_perf_faults():
+                self.flush()
+        if gen != self._gen:
+            # Latency/loss snapshots are stale: everyone goes back to the
+            # scalar path and re-forms lanes (with fresh snapshots) at
+            # their next sweep.
+            self._gen = gen
             self.flush()
 
     def _materialize(self, entry) -> None:
@@ -441,11 +482,10 @@ class LanePlane:
         node = entry.node
         host = entry.host
         inc = entry.inc
-        src = entry.src
-        net = self._net
         queue = self._queue
         heap = self._heap
         pending = self._pending
+        retries = self._retries
         clock = self._clock
         tracing = self._trace is not None
 
@@ -459,8 +499,7 @@ class LanePlane:
             entry.sweep_seq = -1
 
         for f in entry.outstanding.values():
-            rec = f.rec
-            nbr = rec[0]
+            nbr = f.rec[0]
             # The outstanding-ping record and its timeout timer.
             tcb = _guarded_timeout(host, inc, node, nbr, f.nonce)
             heappush(heap, (f.timeout_when, f.timeout_seq, tcb, entry.timeout_label))
@@ -470,37 +509,17 @@ class LanePlane:
                 TimerHandle(queue, clock, f.timeout_seq, f.timeout_when, tcb,
                             entry.timeout_label),
             )
-            # The in-flight leg, if any.
-            kind = f.kind
-            if kind == _ATTEMPT or kind == _DELIVER:
-                msg = OverlayPing(f.nonce, f.payload)
-                msg.sender = src
-                state = _SendAttemptState(
-                    net, src, nbr, msg, rec[4], f.first_contact,
-                    _ping_on_fail(node, nbr, f.nonce), inc,
-                )
-                if kind == _ATTEMPT:
-                    heappush(heap, (f.when, f.seq, state.attempt,
-                                    _TX_PING if tracing else ""))
-                else:
-                    heappush(heap, (f.when, f.seq, state._deliver_now,
-                                    _RX_PING if tracing else ""))
+            # The in-flight leg, if any (_IDLE: dead receiver / dead
+            # sender leg / broken connection — only the timeout remains).
+            if f.kind != _IDLE:
+                label, ack, delivers = _PROGRESS[f.kind]
+                state = retries.pop(f, None) or self._send_state(f, ack)
+                heappush(heap, (
+                    f.when, f.seq,
+                    state._deliver_now if delivers else state.attempt,
+                    label if tracing else "",
+                ))
                 pending.add(f.seq)
-            elif kind == _ACK_ATTEMPT or kind == _ACK_DELIVER:
-                msg = OverlayPingAck(f.nonce, f.ack_payload)
-                msg.sender = nbr
-                state = _SendAttemptState(
-                    net, nbr, src, msg, rec[5], f.ack_first_contact, None, f.b_inc,
-                )
-                if kind == _ACK_ATTEMPT:
-                    heappush(heap, (f.when, f.seq, state.attempt,
-                                    _TX_ACK if tracing else ""))
-                else:
-                    heappush(heap, (f.when, f.seq, state._deliver_now,
-                                    _RX_ACK if tracing else ""))
-                pending.add(f.seq)
-            # _IDLE: nothing in flight (dead receiver / dead sender leg);
-            # _REAL: the progress event was already pushed by a drop.
             f.live = False
         entry.outstanding.clear()
 
@@ -685,7 +704,7 @@ class LanePlane:
                     # is "interesting", so the node rejoins the scalar
                     # path and the kernel dispatches the materialized
                     # timer normally.
-                    self.eject_node(nt.entry.node)
+                    self.eject_node(nt.entry.node, "ping_timeout")
                     b_when, b_seq = barrier()[:2]
                     continue
                 sq.popleft()
@@ -734,9 +753,9 @@ class LanePlane:
                     f.seq = seq2
                     hpush(q, (arrival, seq2, _DELIVER, f))
                 else:
-                    # A drop is heterogeneous: cold path ejects the node
+                    # Lost: cold path retries in-lane, or breaks and ejects
                     # (barrier cache can only have gone stale-early).
-                    self._drop_ping(f, when)
+                    self._segment_lost(f, False, when)
             elif kind == _DELIVER:
                 # Mirror of Network._deliver + Host.deliver + _on_ping.
                 if trace is not None:
@@ -808,8 +827,8 @@ class LanePlane:
                     f.seq = seq2
                     hpush(q, (arrival, seq2, _ACK_DELIVER, f))
                 else:
-                    self._drop_ack(f, when)
-            else:  # _ACK_DELIVER
+                    self._segment_lost(f, True, when)
+            elif kind == _ACK_DELIVER:
                 # Mirror of Network._deliver + OverlayNode._on_ping_ack.
                 if trace is not None:
                     trace.record("dispatch", _RX_ACK)
@@ -828,6 +847,8 @@ class LanePlane:
                     listener(rec[0], f.ack_payload, True)
                 if honor_stop and sim._stop_requested:
                     break
+            else:
+                self._retry(f, kind == _ACK_RETRY, when)
 
         self.micro_dispatched += dispatched
         return dispatched
@@ -908,49 +929,86 @@ class LanePlane:
         entry.sweep_seq = sweep_seq
         self._sweeps.append(entry)
 
-    def _drop_ping(self, f, now: float) -> None:
-        """Cold path: the outbound ping dropped.  Push the scalar
-        retransmission state machine (mid-round-trip, exactly where
-        scalar would be) and eject the node."""
+    # ------------------------------------------------------------------
+    # Retransmission (cold: runs only when an attempt was lost)
+    # ------------------------------------------------------------------
+    def _send_state(self, f, ack: bool) -> _SendAttemptState:
+        """The attempt-0 scalar send state of ``f``'s ping (or ack) leg."""
         entry = f.entry
         rec = f.rec
+        if ack:
+            msg = OverlayPingAck(f.nonce, f.ack_payload)
+            msg.sender = rec[0]
+            return _SendAttemptState(
+                self._net, rec[0], entry.src, msg, rec[5], f.ack_first_contact,
+                None, f.b_inc,
+            )
         msg = OverlayPing(f.nonce, f.payload)
         msg.sender = entry.src
-        state = _SendAttemptState(
+        return _SendAttemptState(
             self._net, entry.src, rec[0], msg, rec[4], f.first_contact,
             _ping_on_fail(entry.node, rec[0], f.nonce), entry.inc,
         )
-        self._push_retry(state, now, _RTX_PING)
-        f.kind = _REAL
-        self.eject_node(entry.node)
 
-    def _drop_ack(self, f, now: float) -> None:
-        """Cold path: the returning ack dropped (see :meth:`_drop_ping`)."""
-        entry = f.entry
+    def _segment_lost(self, f, ack: bool, now: float, state=None) -> None:
+        """A ping (or ack) attempt was lost.  The scalar retry-or-break
+        routine advances the backoff; the retry becomes a micro-event
+        with the sequence number the scalar push would draw.  Retries
+        exhausted, that routine has broken the connection and scheduled
+        the sender's failure callback: the node ejects so the callback
+        finds its outstanding-ping record on the scalar side."""
+        if state is None:
+            state = self._send_state(f, ack)
+        delay = state._segment_lost()
+        if delay is None:
+            f.kind = _IDLE
+            self.eject_node(f.entry.node, "retries_exhausted")
+            return
+        self._retries[f] = state
+        seq = next(self._next_seq)
+        f.kind = _ACK_RETRY if ack else _RETRY
+        f.when = now + delay
+        f.seq = seq
+        heappush(self._q, (f.when, seq, f.kind, f))
+
+    def _retry(self, f, ack: bool, now: float) -> None:
+        """A retransmission comes due: the two attempt branches of
+        :meth:`advance`, for either leg, with the backoff state at hand."""
+        state = self._retries.pop(f)
+        if self._trace is not None:
+            self._trace.record("dispatch", _RTX_ACK if ack else _RTX_PING)
         rec = f.rec
-        msg = OverlayPingAck(f.nonce, f.ack_payload)
-        msg.sender = rec[0]
-        state = _SendAttemptState(
-            self._net, rec[0], entry.src, msg, rec[5], f.ack_first_contact,
-            None, f.b_inc,
-        )
-        self._push_retry(state, now, _RTX_ACK)
-        f.kind = _REAL
-        self.eject_node(entry.node)
+        if ack:
+            host, inc, first = rec[2], f.b_inc, f.ack_first_contact
+            latency, loss = rec[8], rec[9]
+        else:
+            host, inc, first = f.entry.host, f.entry.inc, f.first_contact
+            latency, loss = rec[6], rec[7]
+        if not host.alive or host.incarnation != inc:
+            f.kind = _IDLE  # sender died mid-backoff
+            return
+        self._ctr_transmissions.value += 1
+        rng = self._rng_random
+        if (
+            self._faults_clear or self._faults.can_communicate(state.src, state.dst)
+        ) and not (rng() < loss):
+            jit = self._jitter * rng() * latency
+            extra = 0.0
+            if first:
+                self._connections.add(rec[3])
+                extra = self._setup2 * latency
+            arrival = now + extra + latency + jit + self._recv_oh
+            seq = next(self._next_seq)
+            f.kind = _ACK_DELIVER if ack else _DELIVER
+            f.when = arrival
+            f.seq = seq
+            heappush(self._q, (arrival, seq, f.kind, f))
+        else:
+            self._segment_lost(f, ack, now, state)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _push_retry(self, state, now: float, label: str) -> None:
-        """Scalar retry push: attempt 0 dropped, schedule attempt 1."""
-        state.attempt_index = 1
-        delay = state.rto_ms
-        state.rto_ms *= self._rto_backoff
-        seq = next(self._next_seq)
-        heappush(self._heap, (now + delay, seq, state.attempt,
-                              label if self._trace is not None else ""))
-        self._pending.add(seq)
-
     def _type_counter(self, type_name: str):
         """Mirror of Network.send's lazy per-type counter creation."""
         net = self._net

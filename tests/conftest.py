@@ -38,3 +38,21 @@ def make_world(n_nodes: int, seed: int, **kwargs) -> FuseWorld:
     world = FuseWorld(n_nodes=n_nodes, seed=seed, mercator=mercator, **kwargs)
     world.bootstrap()
     return world
+
+
+def world_observables(world: FuseWorld) -> dict:
+    """Everything simulated that a pure performance layer (lanes on, off
+    or pure-Python) must leave byte-identical: the event count, the
+    clock, every counter, every ledger row."""
+    ledger = world.ledger
+    return {
+        "events_dispatched": world.sim.events_dispatched,
+        "now_ms": world.sim.now,
+        "counters": {n: c.value for n, c in sorted(world.sim.metrics.counters().items())},
+        "creates": [tuple(row) for row in ledger.creates],
+        "notes": [
+            (r.when, r.fuse_id, r.node, r.role, r.reason.value, r.raw, r.phase)
+            for r in ledger.notes
+        ],
+        "duplicates": len(ledger.duplicates),
+    }

@@ -11,9 +11,10 @@ must be byte-identical.  These tests pin that contract:
   the three modes are pairwise identical by transitivity);
 * every builtin scenario reproduces its committed ``[expect]`` fixture
   with lanes off (lanes-on is covered by ``tests/test_api_identity.py``);
-* heterogeneity ejects lanes before the next lane step: a link fault, a
-  loss change (``Topology.generation``), and a crash mid-window each
-  return their nodes to the scalar path;
+* a link fault ejects nobody until a connection breaks (the lost pings
+  are retransmitted in the lane); a loss change (``Topology.generation``)
+  flushes before the next lane step; a crash mid-window ejects the
+  crashed node synchronously;
 * the compressed flash-crowd bootstrap joins *every* node (the
   15,996/16,000 gap regression, fixed by the first-sweep floor).
 """
@@ -117,21 +118,47 @@ def _laned_world(n=20, seed=5):
 
 
 class TestLaneEjection:
-    def test_link_fault_flushes_before_next_lane_step(self):
+    def test_link_fault_retries_in_lane_until_the_break(self):
         world, plane = _laned_world()
-        flushes = plane.flushes
-        a, b = world.node_ids[0], world.node_ids[1]
-        world.net.faults.block_pair(a, b)
-        # Nothing is ejected until the next micro-event would dispatch...
-        assert plane.lane_count == 20
-        # ...but the advance window containing the next lane step flushes
-        # before dispatching a single micro-event with the stale fault
-        # snapshot (invalidation is checked at every advance() entry).
-        world.run_for_minutes(1.0)
-        assert plane.flushes == flushes + 1
-        # Nodes re-form lanes at their next sweep with fresh snapshots.
-        world.run_for_minutes(1.5)
-        assert plane.lane_count > 0
+        twin = FuseWorld(n_nodes=20, seed=5, liveness_lanes=False)
+        twin.bootstrap()
+        twin.run_for_minutes(1.5)
+        a = world.node_ids[0]
+        b = min(world.overlay_node(a).neighbors())
+        suspicions = {}
+        for w in (world, twin):
+            seen = suspicions[w] = []
+            for node_id in (a, b):
+                w.overlay_node(node_id).register_failure_listener(
+                    lambda peer, reason, w=w, node_id=node_id, seen=seen: seen.append(
+                        (w.now, node_id, peer, reason)
+                    )
+                )
+            w.net.faults.block_pair(a, b)
+        # The fault concerns nobody until a ping crosses the blocked pair,
+        # and then it is retransmitted inside the lane: nobody is ejected
+        # before max_retries is exhausted and the connection breaks.
+        breaks = world.sim.metrics.counter("net.connection_breaks")
+        before = breaks.value
+        while breaks.value == before:
+            assert plane.ejects == 0 and plane.lane_count == 20
+            assert world.sim.step()
+        # The break ejects the pinger, and only the pinger.
+        assert plane.flushes == 0
+        assert plane.ejects_by_cause == {
+            "flush": 0, "retries_exhausted": 1, "ping_timeout": 0,
+            "table_change": 0, "teardown": 0,
+        }
+        assert plane.lane_count == 19
+        # Breaks and the suspicion between the pair match the scalar twin.
+        until = world.now + 90_000.0
+        for w in (world, twin):
+            w.sim.run(until=until)
+        assert suspicions[world] == suspicions[twin]
+        assert {(a, b, "broken"), (b, a, "broken")} & {s[1:] for s in suspicions[world]}
+        assert breaks.value == twin.sim.metrics.counter("net.connection_breaks").value
+        assert world.sim.events_dispatched == twin.sim.events_dispatched
+        assert plane.flushes == 0
 
     def test_loss_change_flushes_before_next_lane_step(self):
         world, plane = _laned_world()

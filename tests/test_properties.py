@@ -290,3 +290,71 @@ def test_one_way_agreement_random_faults(seed, data):
         # No state survives after a notification.
         for node in world.node_ids:
             assert fid not in world.fuse(node).groups
+
+
+# ---------------------------------------------------------------------------
+# Lanes are invisible under random loss and random fault verbs
+# ---------------------------------------------------------------------------
+
+_FAULT_VERBS = ("crash", "restart", "disconnect", "reconnect", "block", "unblock", "gray", "partition")
+
+
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    seed=st.integers(min_value=0, max_value=1_000),
+    loss=st.floats(min_value=0.0, max_value=0.05),
+    verbs=st.lists(
+        st.tuples(
+            st.sampled_from(_FAULT_VERBS),
+            st.integers(min_value=0, max_value=23),
+            st.integers(min_value=0, max_value=23),
+            st.floats(min_value=0.05, max_value=1.5),
+        ),
+        min_size=1, max_size=6,
+    ),
+)
+def test_lanes_invisible_under_random_loss_and_faults(seed, loss, verbs):
+    """Uniform loss in [0, 5 %] and a random sequence of fault verbs: the
+    laned world dispatches the same events, counts the same counters and
+    writes the same ledger as its lanes-off twin."""
+    from repro import FuseWorld
+    from tests.conftest import world_observables
+
+    def run(lanes):
+        world = FuseWorld(n_nodes=24, seed=seed, liveness_lanes=lanes)
+        world.bootstrap()
+        ids = world.node_ids
+        for k in range(4):
+            world.create_group_sync(ids[k], [ids[k + 5], ids[k + 11], ids[k + 17]])
+        world.topology.set_uniform_loss(loss)
+        world.run_for_minutes(1.5)
+        faults = world.net.faults
+        for verb, i, j, minutes in verbs:
+            a, b = ids[i], ids[j]
+            if verb == "crash" and world.host(a).alive:
+                world.crash(a)
+            elif verb == "restart" and not world.host(a).alive:
+                world.restart(a)
+            elif verb == "disconnect":
+                world.disconnect(a)
+            elif verb == "reconnect":
+                world.net.reconnect_host(a)
+            elif verb == "block" and a != b:
+                faults.block_pair(a, b)
+            elif verb == "unblock" and a != b:
+                faults.unblock_pair(a, b)
+            elif verb == "gray":
+                faults.gray_fail(a)
+            elif verb == "partition":  # split, hold, heal
+                faults.partition([ids[:i + 1], ids[i + 1:]])
+                world.run_for_minutes(minutes)
+                faults.heal_partition()
+            world.run_for_minutes(minutes)
+        world.run_for_minutes(3.0)
+        return world_observables(world)
+
+    assert run(True) == run(False)
