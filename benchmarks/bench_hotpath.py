@@ -120,7 +120,6 @@ def run_benchmark(mode: str, seed: int, lanes: str = "on") -> dict:
     lane_stats = {"mode": world.lanes_mode}
     if plane is not None:
         lane_stats.update(
-            backend=plane.backend,
             laned_nodes=plane.lane_count,
             micro_events=plane.micro_dispatched,
             absorbs=plane.absorbs,
@@ -163,17 +162,17 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
     parser.add_argument(
         "--lanes",
-        choices=("on", "off", "py"),
+        choices=("on", "off"),
         default="on",
-        help="liveness-lane mode; off/py results merge under a suffixed "
+        help="liveness-lane mode; off results merge under a suffixed "
         "mode key (e.g. 'full_lanes_off') so both baselines can coexist",
     )
     args = parser.parse_args(argv)
 
     mode = "quick" if args.quick else "full"
     result = run_benchmark(mode, args.seed, lanes=args.lanes)
-    if args.lanes != "on":
-        result["mode"] = f"{mode}_lanes_{args.lanes}"
+    if args.lanes == "off":
+        result["mode"] = f"{mode}_lanes_off"
     merge_out(args.out, result)
     print(
         f"[bench_hotpath:{mode}] {result['events']} events in "

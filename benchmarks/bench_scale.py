@@ -104,7 +104,6 @@ def measure_scale(n: int, seed: int, trace_memory: bool, lanes: str = "on") -> d
     if plane is not None:
         window_micro = plane.micro_dispatched - micro_before
         lane_stats.update(
-            backend=plane.backend,
             laned_nodes=plane.lane_count,
             window_micro_events=window_micro,
             window_micro_fraction=round(window_micro / window_events, 4)
@@ -171,7 +170,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
     parser.add_argument(
         "--lanes",
-        choices=("on", "off", "py"),
+        choices=("on", "off"),
         default="on",
         help="liveness-lane mode; 'off' results merge into a separate "
         "'scales_lanes_off' section so both baselines can be committed",
@@ -192,7 +191,7 @@ def main(argv=None) -> int:
             + f", {result['routes_cached_after_bootstrap']} routes / "
             f"{result['dijkstra_trees_after_bootstrap']} trees cached"
         )
-    section = "scales" if args.lanes == "on" else f"scales_lanes_{args.lanes}"
+    section = "scales" if args.lanes == "on" else "scales_lanes_off"
     merge_out(args.out, results, section=section)
     print(f"-> {args.out} ({section})")
     return 0

@@ -1,9 +1,9 @@
 """Determinism-hazard static analyzer for the repro tree.
 
 Every contract this reproduction makes — byte-identical event streams
-across lanes on/off/py, serial vs ``--jobs``, workers 1/2/4, sim vs
-wire — is enforced *dynamically* by golden fixtures.  This package is
-the static half: an AST lint suite that catches the hazard classes
+across lanes on/off, serial vs ``--jobs``, sim vs wire — is enforced
+*dynamically* by golden fixtures.  This package is the static half: an
+AST lint suite that catches the hazard classes
 (stray RNG, wall-clock reads, set-order escapes, ``id()``/``hash()``
 keys, shared mutable state, post-fork global mutation) at review time,
 before a fixture ever has the chance to go red.

@@ -74,12 +74,7 @@ class AnalysisConfig:
     #: DH006: modules containing fork/worker entry paths.  Globals
     #: mutated after fork diverge between parent and children, so the
     #: serial fallback no longer replays the parallel run.
-    worker_modules: Tuple[str, ...] = (
-        "engine/parallel.py",
-        "engine/trial.py",
-        "sim/parallel.py",
-        "engine/windows.py",
-    )
+    worker_modules: Tuple[str, ...] = ("engine/parallel.py", "engine/trial.py")
 
     #: Directory runs excluded from *walks* (explicit file arguments
     #: bypass this).  ``tests/data/`` holds deliberately-hazardous red

@@ -7,7 +7,7 @@ contract.  The moment that order reaches a *sink* — a scheduler call
 (``schedule_*``/``call_*``), a transport ``send``, a ledger
 ``record_*``/``append`` — two runs of "the same" world can dispatch the
 same events in different sequence and the byte-identity matrix (lanes
-on/off/py, serial vs ``--jobs``, workers 1/2/4, sim vs wire) is dead.
+on/off, serial vs ``--jobs``, sim vs wire) is dead.
 
 Flagged shapes (``s`` inferred set-typed; see
 :func:`repro.analysis.astutil.infer_set_types`):

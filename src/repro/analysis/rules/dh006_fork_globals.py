@@ -1,10 +1,8 @@
 """DH006 — post-fork global mutation in parallel worker paths.
 
 The trial executor (:mod:`repro.engine.parallel`) forks workers and
-promises that a serial loop replays a parallel run seed-for-seed; the
-window engine (:mod:`repro.sim.parallel`) forks partition workers and
-promises byte-identical merged streams for any ``--workers``.  Both
-promises die the moment a worker-path function mutates module-level
+promises that a serial loop replays a parallel run seed-for-seed.  That
+promise dies the moment a worker-path function mutates module-level
 state: the mutation lands in one forked address space, the serial run
 sees it accumulate across trials, and the two executions diverge.
 

@@ -156,12 +156,7 @@ def _materialize(type_name: str, fields: Dict[str, Any]) -> Message:
     cls = _lookup(type_name)
     message = cls.__new__(cls)
     for name, value in fields.items():
-        try:
-            setattr(message, name, _decode_value(value))
-        except AttributeError:
-            raise CodecError(
-                f"field {name!r} does not fit message type {type_name!r}"
-            ) from None
+        setattr(message, name, _decode_value(value))
     return message
 
 
@@ -194,8 +189,10 @@ def encode_ack(src: int, dst: int, seq: int) -> bytes:
 def decode_frame(data: bytes) -> Tuple[str, int, int, int, Optional[Message]]:
     """Parse one datagram → (kind, src, dst, seq, message-or-None).
 
-    Raises :class:`CodecError` on torn or malformed frames — the caller
-    treats that as wire garbage and drops the datagram.
+    Raises :class:`CodecError`, and nothing else, on any frame that is
+    not one :func:`encode_message` / :func:`encode_ack` could have
+    written — the caller treats that as wire garbage and drops the
+    datagram.
     """
     if len(data) < _LEN.size:
         raise CodecError(f"short frame: {len(data)} bytes")
@@ -205,21 +202,28 @@ def decode_frame(data: bytes) -> Tuple[str, int, int, int, Optional[Message]]:
         raise CodecError(f"torn frame: header says {length}, got {len(body)}")
     try:
         envelope = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # incl. JSON / UTF-8 / int-size errors
         raise CodecError(f"undecodable frame: {exc}") from None
-    try:
-        kind = envelope["k"]
-        src = envelope["s"]
-        dst = envelope["d"]
-        seq = envelope["q"]
-    except (TypeError, KeyError) as exc:
-        raise CodecError(f"malformed envelope: missing {exc}") from None
+    if not isinstance(envelope, dict):
+        raise CodecError("malformed envelope: not an object")
+    kind = envelope.get("k")
+    src = envelope.get("s")
+    dst = envelope.get("d")
+    seq = envelope.get("q")
+    # type() rather than isinstance(): bool is an int subclass.
+    if type(kind) is not str or not (type(src) is type(dst) is type(seq) is int):
+        raise CodecError("malformed envelope: k must be a str, s/d/q ints")
     message: Optional[Message] = None
     if kind == "m":
         payload = envelope.get("m")
         if not isinstance(payload, dict) or _MSG_TAG not in payload:
             raise CodecError("data frame without tagged message body")
-        message = _materialize(payload[_MSG_TAG], payload.get("f", {}))
+        try:
+            message = _materialize(payload[_MSG_TAG], payload.get("f", {}))
+        except CodecError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise CodecError(f"malformed message body: {exc!r}") from None
         # The sender stamp rides the envelope, mirroring the simulated
         # network's stamp-on-copy (nested messages keep their own).
         message.sender = src

@@ -297,6 +297,7 @@ class LiveNetwork(NetworkBackend):
         self._ctr_breaks = metrics.counter("net.connection_breaks")
         self._msg_type_counters: Dict[str, Counter] = {}
         self._ctr_gray_drops: Optional[Counter] = None
+        self._ctr_codec_rejects: Optional[Counter] = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -437,6 +438,10 @@ class LiveNetwork(NetworkBackend):
         try:
             kind, src, dst, seq, message = codec.decode_frame(data)
         except codec.CodecError:
+            ctr = self._ctr_codec_rejects
+            if ctr is None:
+                ctr = self._ctr_codec_rejects = self.sim.metrics.counter("net.codec_rejects")
+            ctr.value += 1
             return  # wire garbage: drop
 
         if kind == "a":

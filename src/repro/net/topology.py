@@ -236,67 +236,6 @@ class Topology:
     def links(self) -> Iterable[Link]:
         return self._links.values()
 
-    def router_components(self, kinds: Sequence[LinkKind]) -> Dict[int, int]:
-        """Partition routers into connected components over links of the
-        given kinds; returns router -> component id.
-
-        Component ids are assigned in ascending order of each component's
-        smallest router id, so the labelling is deterministic.  With
-        ``kinds=[LinkKind.INTRA_AS]`` this recovers the autonomous systems
-        of a Mercator topology from the graph alone (AS membership is not
-        persisted at build time).
-        """
-        wanted = set(kinds)
-        parent: Dict[int, int] = {r: r for r in self._adjacency}
-
-        def find(r: int) -> int:
-            root = r
-            while parent[root] != root:
-                root = parent[root]
-            while parent[r] != root:
-                parent[r], r = root, parent[r]
-            return root
-
-        for link in self._links.values():
-            if link.kind in wanted:
-                ra, rb = find(link.a), find(link.b)
-                if ra != rb:
-                    if rb < ra:
-                        ra, rb = rb, ra
-                    parent[rb] = ra
-        labels: Dict[int, int] = {}
-        out: Dict[int, int] = {}
-        for router in sorted(parent):
-            root = find(router)
-            if root not in labels:
-                labels[root] = len(labels)
-            out[router] = labels[root]
-        return out
-
-    def min_cross_group_latency(self, group_of: Dict[int, int]) -> Optional[float]:
-        """Minimum latency over router links whose endpoints lie in
-        different groups, or None when no link crosses a group boundary.
-
-        This is the conservative-lookahead query of the parallel window
-        scheduler (:mod:`repro.sim.parallel`): any message between hosts
-        in different groups traverses at least one such link, so its
-        delivery lags its send by at least this much.
-        """
-        best: Optional[float] = None
-        for link in self._links.values():
-            if group_of.get(link.a) != group_of.get(link.b):
-                if best is None or link.latency_ms < best:
-                    best = link.latency_ms
-        return best
-
-    def min_access_latency(self) -> Optional[float]:
-        """Minimum host access-link latency, or None with no hosts."""
-        best: Optional[float] = None
-        for link in self._host_access.values():
-            if best is None or link.latency_ms < best:
-                best = link.latency_ms
-        return best
-
     # ------------------------------------------------------------------
     # Loss configuration
     # ------------------------------------------------------------------

@@ -48,7 +48,7 @@ from repro.scenarios.builtin import BUILTIN, catalogue
 from repro.scenarios.expect import evaluate_expectations
 from repro.scenarios.runner import apply_overrides, run_scenario, run_scenario_sweep
 from repro.scenarios.spec import SpecError, load
-from repro.scenarios.timeline import Scenario, execute_parallel
+from repro.scenarios.timeline import Scenario
 
 
 def _parse_seeds(text: Optional[str]) -> Optional[List[int]]:
@@ -215,72 +215,6 @@ def _run_sweep(scenario: Scenario, args) -> int:
     return _report_expectations(scenario, violations, args)
 
 
-def _run_parallel(scenario: Scenario, args) -> int:
-    """Single-scenario runs on a partitioned world (``--workers``).
-
-    Orthogonal to ``--jobs``/``--grid`` (which fan *independent trials*
-    across processes): ``--workers`` splits *one world* across worker
-    processes via the conservative window protocol
-    (:mod:`repro.engine.windows`).  Results are byte-identical for any
-    worker count at fixed ``--partitions``; see docs/PERFORMANCE.md for
-    when each axis pays off.
-    """
-    if args.grid:
-        raise SystemExit("--workers cannot be combined with --grid (use --jobs for sweeps)")
-    if args.jobs > 1:
-        raise SystemExit("--workers partitions one world; use it with --jobs 1")
-    seeds = _parse_seeds(args.seeds) or [scenario.seed]
-    partitions = args.partitions if args.partitions else args.workers
-    violations: List[str] = []
-    records = []
-    for seed in seeds:
-        started = wall_seconds()
-        out, _ctx, result = execute_parallel(
-            scenario, seed=seed, workers=args.workers, partitions=partitions
-        )
-        elapsed = wall_seconds() - started
-        cp = result.critical_path()
-        records.append(
-            {
-                "seed": seed,
-                "measurements": {
-                    k: v for k, v in sorted(out.items()) if not isinstance(v, list)
-                },
-                "parallel": {
-                    "workers": result.workers,
-                    "partitions": result.plan.n_partitions,
-                    "lookahead_ms": result.plan.lookahead_ms,
-                    "windows": result.windows,
-                    "speedup_bound": cp["speedup_bound"],
-                    "wall_seconds": round(elapsed, 3),
-                },
-            }
-        )
-        if not args.no_expect:
-            for outcome in evaluate_expectations(scenario.expect, out):
-                if not outcome.ok:
-                    violations.append(f"seed={seed}: {outcome.violation}")
-        print(
-            f"[{scenario.name} seed={seed}] workers={result.workers} "
-            f"partitions={result.plan.n_partitions} windows={result.windows} "
-            f"msgs/s={out.get('msgs_per_sec', 0.0):.1f} "
-            f"events={out.get('events', 0)} ({elapsed:.1f}s)",
-            file=sys.stderr if args.json else sys.stdout,
-        )
-    rendered = json.dumps(
-        {"scenario": scenario.name, "trials": records},
-        indent=2, sort_keys=True, default=str,
-    )
-    if args.json:
-        print(rendered)
-    if args.out:
-        out_path = pathlib.Path(args.out)
-        if out_path.parent != pathlib.Path(""):
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(rendered + "\n")
-    return _report_expectations(scenario, violations, args)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.scenarios.run",
@@ -323,24 +257,6 @@ def main(argv=None) -> int:
         "lines to stdout)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="partition one world across N worker processes (conservative "
-        "window protocol; results identical for any N at fixed "
-        "--partitions). Single-scenario runs only — not with --grid, "
-        "and --jobs must stay 1",
-    )
-    parser.add_argument(
-        "--partitions",
-        type=int,
-        default=0,
-        metavar="P",
-        help="partition count for --workers (default: N); fix P while "
-        "varying N to keep runs byte-identical",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="emit machine-readable per-trial results instead of the table",
@@ -363,10 +279,6 @@ def main(argv=None) -> int:
         parser.error("pass a scenario name or spec file (or --list)")
 
     scenario = _resolve(args.scenario, args.quick)
-    if args.workers:
-        return _run_parallel(scenario, args)
-    if args.partitions:
-        parser.error("--partitions only applies together with --workers")
     if args.grid:
         return _run_sweep(scenario, args)
     started = wall_seconds()

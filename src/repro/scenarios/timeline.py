@@ -325,152 +325,6 @@ def execute_with_context(
     return out, ctx
 
 
-def execute_parallel(
-    scenario: Scenario,
-    seed: Optional[int] = None,
-    workers: int = 2,
-    partitions: Optional[int] = None,
-    record_stream: bool = False,
-):
-    """Run ``scenario`` on a partitioned world (`repro.engine.windows`).
-
-    Semantically the parallel twin of :func:`execute_with_context`: the
-    same world build / setup / phase loop, with every ``run_for`` going
-    through the conservative window protocol.  The merged measurements
-    are a pure function of ``partitions`` — byte-identical for any
-    ``workers`` value — and the partitioned execution model itself is
-    documented in :mod:`repro.sim.parallel`.
-
-    Returns ``(measurements, ctx, result)`` where ``result`` is the
-    :class:`repro.engine.windows.ParallelResult` (window stats, critical
-    path, optional canonical stream).
-    """
-    from repro.engine.windows import run_partitioned
-
-    world = FuseWorld(
-        n_nodes=scenario.n_nodes,
-        seed=scenario.seed if seed is None else seed,
-    )
-    world.bootstrap()
-    ctx = ScenarioContext(world, scenario)
-    world.ledger.set_phase("setup")
-    # Setup (and the synchronous clock advancement it may do) runs before
-    # the fork: every worker inherits the post-setup world identically.
-    for track in scenario.tracks:
-        track.setup(ctx)
-    groups_failed_setup = ctx.groups_failed
-
-    t = world.sim.now
-    for phase in scenario.phases:
-        ctx.phase_start_ms[phase.name] = t
-        t += phase.minutes * MINUTE_MS
-        ctx.phase_end_ms[phase.name] = t
-
-    msgs = world.sim.metrics.counter("net.messages")
-    # Parent-local per-phase tallies; the partitioned share dispatched by
-    # the *other* workers is folded in from result.call_partitioned_deltas
-    # after the merge (call index == phase index: one run_for per phase).
-    local: Dict[str, Any] = {"phase_msgs": [], "measured_calls": []}
-
-    def body(session) -> None:
-        measured_ms = 0.0
-        for index, phase in enumerate(scenario.phases):
-            world.ledger.set_phase(phase.name)
-            for track in scenario.tracks:
-                track.on_phase_start(ctx, phase)
-            if phase.measure:
-                world.sim.metrics.reset_counters()
-                local["measured_calls"].append(index)
-            msgs_before = msgs.value
-            session.run_for(phase.minutes * MINUTE_MS)
-            local["phase_msgs"].append(msgs.value - msgs_before)
-            if phase.measure:
-                measured_ms += phase.minutes * MINUTE_MS
-            for track in scenario.tracks:
-                track.on_phase_end(ctx, phase)
-        local["measured_ms"] = measured_ms
-
-    result = run_partitioned(
-        world, body, workers=workers, partitions=partitions,
-        record_stream=record_stream,
-    )
-
-    foreign = result.call_partitioned_deltas
-    phase_rates = {}
-    measured_msgs = 0
-    for index, phase in enumerate(scenario.phases):
-        phase_msgs = local["phase_msgs"][index] + foreign[index].get("net.messages", 0)
-        if phase.minutes > 0:
-            phase_rates[phase.name] = phase_msgs / (phase.minutes * 60.0)
-        if index in local["measured_calls"]:
-            measured_msgs += phase_msgs
-
-    _reconcile_parallel_context(ctx, scenario, groups_failed_setup)
-    ctx.resolve_notifications()
-    out = _aggregate(ctx, measured_msgs, local["measured_ms"])
-    for name, rate in phase_rates.items():
-        out[f"msgs_per_sec[{name}]"] = rate
-    last_phase = scenario.phases[-1]
-    for phase in scenario.phases:
-        start = ctx.phase_start_ms[phase.name]
-        end = ctx.phase_end_ms[phase.name]
-        if phase is last_phase:
-            count = sum(
-                1
-                for (_fid, node), when in ctx.notification_times.items()
-                if start <= when <= end and node not in ctx.unobservable
-            )
-        else:
-            count = sum(
-                1
-                for (_fid, node), when in ctx.notification_times.items()
-                if start <= when < end and node not in ctx.unobservable
-            )
-        out[f"notifications[{phase.name}]"] = count
-    out.update(ctx.extra)
-    return out, ctx, result
-
-
-def _reconcile_parallel_context(
-    ctx: ScenarioContext, scenario: Scenario, groups_failed_setup: int
-) -> None:
-    """Rebuild group bookkeeping that rides on handle callbacks.
-
-    ``on_live`` / ``on_notified`` callbacks fire inside the owning
-    partition's phase, so in a multi-worker run the parent only saw them
-    for its own partitions.  The merged ledger (creates + outcomes) holds
-    the canonical record; this re-derives the parent's ``ctx.groups`` /
-    ``ctx.observed`` / ``groups_failed`` from it, exactly matching what
-    the callbacks produce in a single-worker run.
-    """
-    from repro.scenarios.tracks import GroupWorkload
-
-    ledger = ctx.world.ledger
-    observe = "members"
-    for track in scenario.tracks:
-        if isinstance(track, GroupWorkload) and track.rate_per_minute is not None:
-            observe = track.observe
-            break
-
-    midphase_failed = 0
-    for rec in ledger.creates:
-        outcome = ledger._outcome.get(rec.fuse_id)
-        if outcome is None:
-            continue
-        if rec.phase == "setup":
-            continue
-        if outcome[0] == "failed_create":
-            midphase_failed += 1
-        elif outcome[0] == "live" and rec.fuse_id not in ctx.groups:
-            everyone = list(rec.members)
-            ctx.register_group(rec.fuse_id, rec.root, everyone)
-            if observe == "root":
-                ctx.observe_group(rec.fuse_id, [rec.root])
-            elif observe == "members":
-                ctx.observe_group(rec.fuse_id, everyone)
-    ctx.groups_failed = groups_failed_setup + midphase_failed
-
-
 def _group_fault_time(ctx: ScenarioContext, fuse_id: str, members: Sequence[NodeId]) -> Optional[float]:
     """Earliest injected-fault time relevant to a group, or None."""
     times = [ctx.fault_times[m] for m in members if m in ctx.fault_times]

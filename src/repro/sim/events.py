@@ -41,7 +41,7 @@ class EventQueue:
     already cancelled (it simply returns False then).
     """
 
-    __slots__ = ("_heap", "_pending", "_seq", "push_probe")
+    __slots__ = ("_heap", "_pending", "_seq")
 
     def __init__(self) -> None:
         self._heap: List[EventEntry] = []
@@ -50,13 +50,6 @@ class EventQueue:
         # whose seq is absent are skipped (and dropped) at pop/peek time.
         self._pending: Set[int] = set()
         self._seq = itertools.count()
-        #: optional hook called as ``push_probe(when, seq, callback, label)``
-        #: after every push.  The parallel window scheduler
-        #: (:mod:`repro.sim.parallel`) installs one to attribute events to
-        #: partitions and to intercept cross-partition deliveries (the
-        #: probe may ``cancel(seq)`` the fresh entry).  None — one falsy
-        #: check per push — everywhere else.
-        self.push_probe: Optional[Callable[[float, int, Callable[[], Any], str], None]] = None
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -66,9 +59,6 @@ class EventQueue:
         seq = next(self._seq)
         heappush(self._heap, (when, seq, callback, label))
         self._pending.add(seq)
-        probe = self.push_probe
-        if probe is not None:
-            probe(when, seq, callback, label)
         return seq
 
     def cancel(self, seq: int) -> bool:

@@ -55,12 +55,6 @@ scalar path: every virtual timer and in-flight transmission, including a
 retry mid-backoff, is materialized back onto the main heap with its
 recorded ``(when, seq)``, after which the run is indistinguishable from
 one that never laned.
-
-numpy is gated exactly like scipy in :mod:`repro.net.routing`: an
-optional import with an identical pure-Python fallback (tier-1 stays
-numpy-free).  The vectorized piece is the per-sweep serialization chain
-(a cumulative sum of send overheads); ``numpy.cumsum`` accumulates
-left-to-right, so its floats match the scalar chain bit-for-bit.
 """
 
 from __future__ import annotations
@@ -74,11 +68,6 @@ from repro.net.network import _SendAttemptState
 from repro.overlay.skipnet.messages import OverlayPing, OverlayPingAck
 from repro.overlay.skipnet.node import _EMPTY_PAYLOAD
 from repro.sim.events import TimerHandle
-
-try:  # Gated accelerator, mirroring the scipy gate in repro.net.routing.
-    import numpy as _np
-except ImportError:  # pragma: no cover - depends on the environment
-    _np = None
 
 _PING_BYTES = OverlayPing.size_bytes
 _ACK_BYTES = OverlayPingAck.size_bytes
@@ -114,34 +103,23 @@ _PROGRESS = {
 
 EJECT_CAUSES = ("flush", "retries_exhausted", "ping_timeout", "table_change", "teardown")
 
-# Minimum sends per sweep before the numpy cumulative sum pays for its
-# array setup; below this the pure-Python chain is used even with numpy.
-_NP_MIN_BATCH = 8
-
 
 def resolve_lanes_mode(override=None) -> str:
-    """Resolve the liveness-lanes mode: ``"on"``, ``"off"``, or ``"py"``.
+    """Resolve the liveness-lanes mode: ``"on"`` or ``"off"``.
 
     ``override`` (a ``FuseWorld(liveness_lanes=...)`` argument) wins when
-    given: ``True``/``False`` or one of the mode strings.  Otherwise the
-    ``REPRO_LIVENESS_LANES`` environment variable decides (default on;
-    ``py`` forces the pure-Python fallback even when numpy is present).
+    given: ``True``/``False`` or one of the two mode strings.  Otherwise
+    the ``REPRO_LIVENESS_LANES`` environment variable decides (default
+    on).  Anything else raises :class:`ValueError`.
     """
-    if override is not None:
-        if override is True:
-            return "on"
-        if override is False:
-            return "off"
-        mode = str(override).strip().lower()
-    else:
-        mode = os.environ.get("REPRO_LIVENESS_LANES", "on").strip().lower()
-    if mode in ("", "1", "on", "true", "yes", "numpy"):
+    if override is True:
         return "on"
-    if mode in ("0", "off", "false", "no"):
+    if override is False:
         return "off"
-    if mode in ("py", "python", "fallback"):
-        return "py"
-    raise ValueError(f"unrecognized liveness-lanes mode: {mode!r}")
+    mode = os.environ.get("REPRO_LIVENESS_LANES", "on") if override is None else override
+    if mode not in ("on", "off"):
+        raise ValueError(f"liveness-lanes mode must be 'on' or 'off', got {mode!r}")
+    return mode
 
 
 class _Flight:
@@ -236,12 +214,10 @@ def _ping_on_fail(node, nbr, nonce):
 class LanePlane:
     """The lane scheduler attached to one simulator/overlay pair."""
 
-    def __init__(self, sim, net, overlay, force_python: bool = False) -> None:
+    def __init__(self, sim, net, overlay) -> None:
         self._sim = sim
         self._net = net
         self._overlay = overlay
-        self._np = None if force_python else _np
-        self.backend = "python" if self._np is None else "numpy"
 
         queue = sim.queue
         self._queue = queue
@@ -292,7 +268,7 @@ class LanePlane:
         # -> their _SendAttemptState mid-backoff.  Touched only when an
         # attempt is lost, so the loss-free path carries no retry state.
         self._retries = {}
-        self._suspended = 0
+        self._suspended = False
 
         # Introspection for benchmarks/tests.
         self.micro_dispatched = 0
@@ -306,12 +282,11 @@ class LanePlane:
     def suspend(self) -> None:
         """Stop absorbing (bootstrap join storms churn tables too fast
         for lanes to pay off); already-laned nodes are flushed."""
-        self._suspended += 1
-        if self._entries:
-            self.flush()
+        self._suspended = True
+        self.flush()
 
     def resume(self) -> None:
-        self._suspended -= 1
+        self._suspended = False
 
     @property
     def lane_count(self) -> int:
@@ -326,7 +301,6 @@ class LanePlane:
 
     def stats(self) -> dict:
         return {
-            "backend": self.backend,
             "laned_nodes": len(self._entries),
             "micro_events_dispatched": self.micro_dispatched,
             "absorbs": self.absorbs,
@@ -881,28 +855,14 @@ class LanePlane:
             send_recs = [rec for rec in recs if rec[0] not in outstanding]
         else:
             send_recs = recs
-        np = self._np
-        if np is not None and len(send_recs) >= _NP_MIN_BATCH:
-            # Vectorized serialization chain.  cumsum accumulates left to
-            # right, so cumsum([base, oh, oh, ...])[1:] equals the scalar
-            # chain base+oh, (base+oh)+oh, ... bit for bit.
-            arr = np.empty(len(send_recs) + 1)
-            arr[0] = base
-            arr[1:] = oh
-            injects = arr.cumsum()[1:].tolist()
-        else:
-            injects = []
-            inject = base
-            for _ in send_recs:
-                inject = inject + oh
-                injects.append(inject)
         if send_recs and ctr_ping is None:
             ctr_ping = self._type_counter("OverlayPing")
             self._ctr_ping = ctr_ping
 
         hpush = heappush
         inject = base
-        for rec, inject in zip(send_recs, injects):
+        for rec in send_recs:
+            inject = inject + oh
             nonce = nonce_next()
             payload = collect(rec[0])
             if not payload:
@@ -1020,6 +980,6 @@ class LanePlane:
 
     def __repr__(self) -> str:
         return (
-            f"LanePlane(backend={self.backend}, lanes={len(self._entries)}, "
+            f"LanePlane(lanes={len(self._entries)}, "
             f"micro={self.micro_dispatched}, ejects={self.ejects})"
         )

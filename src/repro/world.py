@@ -79,14 +79,10 @@ class FuseWorld:
 
         # Liveness lanes: the batched fast path for steady-state ping
         # traffic (repro.sim.lanes).  ``liveness_lanes`` overrides the
-        # REPRO_LIVENESS_LANES environment default ("on"); "py" forces
-        # the pure-Python lane backend even when numpy is available.
+        # REPRO_LIVENESS_LANES environment default ("on").
         self.lanes_mode = resolve_lanes_mode(liveness_lanes)
-        if self.lanes_mode != "off":
-            plane = LanePlane(
-                self.sim, self.net, self.overlay,
-                force_python=(self.lanes_mode == "py"),
-            )
+        if self.lanes_mode == "on":
+            plane = LanePlane(self.sim, self.net, self.overlay)
             self.sim.lane_plane = plane
             self.overlay.lane_plane = plane
 
@@ -198,31 +194,6 @@ class FuseWorld:
 
     def alive_node_ids(self) -> List[NodeId]:
         return [nid for nid in self.node_ids if self.hosts[nid].alive]
-
-    # ------------------------------------------------------------------
-    # Parallel (partitioned) execution
-    # ------------------------------------------------------------------
-    def partition_plan(self, n_partitions: int):
-        """AS-atomic partition plan for this world (affinity-balanced;
-        see :class:`repro.sim.parallel.PartitionPlan`)."""
-        from repro.sim.parallel import PartitionPlan
-
-        return PartitionPlan.build(self, n_partitions)
-
-    def run_partitioned(self, body, workers: int = 1,
-                        partitions: Optional[int] = None,
-                        record_stream: bool = False):
-        """Run ``body(session)`` over this world split across worker
-        processes using the conservative window protocol.  ``body`` must
-        advance virtual time only via ``session.run_for``; results are
-        byte-identical for any ``workers`` at a fixed partition count.
-        See :func:`repro.engine.windows.run_partitioned`."""
-        from repro.engine.windows import run_partitioned
-
-        return run_partitioned(
-            self, body, workers=workers, partitions=partitions,
-            record_stream=record_stream,
-        )
 
     # ------------------------------------------------------------------
     # Group creation conveniences

@@ -41,9 +41,9 @@ def make_world(n_nodes: int, seed: int, **kwargs) -> FuseWorld:
 
 
 def world_observables(world: FuseWorld) -> dict:
-    """Everything simulated that a pure performance layer (lanes on, off
-    or pure-Python) must leave byte-identical: the event count, the
-    clock, every counter, every ledger row."""
+    """Everything simulated that a pure performance layer (lanes on or
+    off) must leave byte-identical: the event count, the clock, every
+    counter, every ledger row."""
     ledger = world.ledger
     return {
         "events_dispatched": world.sim.events_dispatched,

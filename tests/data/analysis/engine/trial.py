@@ -1,10 +1,10 @@
 """GREEN fixture for DH006: worker state stays local / on results.
 
-Named ``engine/windows.py`` so the worker-module pattern matches — the
+Named ``engine/trial.py`` so the worker-module pattern matches — the
 rule must evaluate this file and stay silent.
 """
 
-WINDOW_EPS = 1e-9  # module-level constants are fine: read, never written
+TRIAL_EPS = 1e-9  # module-level constants are fine: read, never written
 
 
 def run_trial_worker(spec):

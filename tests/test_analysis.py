@@ -88,7 +88,7 @@ GREEN_FILES = [
     DATA / "dh004_green.py",
     DATA / "dh005_green.py",
     DATA / "scenarios" / "module_state_green.py",
-    DATA / "engine" / "windows.py",
+    DATA / "engine" / "trial.py",
 ]
 
 

@@ -1,8 +1,13 @@
 """Wire codec round-trips for the protocol's message vocabulary."""
 
+import json
+import struct
+
 import pytest
 
 from repro.net.backends import codec
+from repro.net.backends.asynckernel import AsyncioKernel
+from repro.net.backends.livenet import LiveNetwork
 from repro.fuse.messages import (
     FuseLinkList,
     GroupCreateRequest,
@@ -14,6 +19,10 @@ from repro.overlay.skipnet.messages import (
     OverlayPing,
     RouteEnvelope,
 )
+
+
+def _frame(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
 
 
 def roundtrip(message, src=3, dst=7, seq=42):
@@ -82,8 +91,6 @@ class TestMalformedFrames:
             codec.decode_frame(frame[:-2])
 
     def test_garbage_body(self):
-        import struct
-
         body = b"not json at all"
         with pytest.raises(codec.CodecError):
             codec.decode_frame(struct.pack(">I", len(body)) + body)
@@ -91,12 +98,50 @@ class TestMalformedFrames:
     def test_unknown_message_type(self):
         frame = codec.encode_message(1, 2, 3, HardNotification(fuse_id="f", reason="r"))
         tampered = frame.replace(b"HardNotification", b"NoSuchMessageType")
-        import struct
-
-        body = tampered[4:]
-        tampered = struct.pack(">I", len(body)) + body
         with pytest.raises(codec.CodecError):
-            codec.decode_frame(tampered)
+            codec.decode_frame(_frame(tampered[4:]))
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [
+            {"k": "m", "s": 1, "d": 2, "q": 3, "m": {"__m__": "HardNotification", "f": []}},
+            {"k": "m", "s": 1, "d": 2, "q": 3,
+             "m": {"__m__": "OverlayPing", "f": {"payload": {"x": 1, "__ik__": ["x"]}}}},
+            {"k": "m", "s": 1, "d": 2, "q": 3, "m": {"__m__": ["HardNotification"], "f": {}}},
+            {"k": "m", "s": 1, "d": 2, "q": 3,
+             "m": {"__m__": "HardNotification", "f": {"__class__": "HardNotification"}}},
+            {"k": "a", "s": [1], "d": 2, "q": 3},
+        ],
+        ids=["fields-not-a-dict", "non-int-int-key", "list-type-tag", "class-field", "list-src-ack"],
+    )
+    def test_hostile_envelope_is_a_codec_error(self, envelope):
+        with pytest.raises(codec.CodecError):
+            codec.decode_frame(_frame(json.dumps(envelope).encode()))
+
+    def test_bool_or_missing_envelope_fields_are_rejected(self):
+        for envelope in ({"k": "a", "s": 1, "d": 2, "q": True}, {"k": "a", "s": 1, "d": 2},
+                         {"k": 1, "s": 1, "d": 2, "q": 3}, [1, 2, 3]):
+            with pytest.raises(codec.CodecError):
+                codec.decode_frame(_frame(json.dumps(envelope).encode()))
+
+    @pytest.mark.parametrize(
+        "body", [b"[" * 100_000 + b"]" * 100_000, b'{"k": "a", "s": ' + b"1" * 5000 + b"}"],
+        ids=["deep-nesting", "huge-int"],
+    )
+    def test_parser_limits_are_codec_errors(self, body):
+        with pytest.raises(codec.CodecError):
+            codec.decode_frame(_frame(body))
+
+    def test_live_network_counts_each_reject(self):
+        kernel = AsyncioKernel(seed=1, time_scale=1.0)
+        try:
+            net = LiveNetwork(kernel)
+            assert "net.codec_rejects" not in kernel.metrics.counters()
+            for data in (b"\x00", _frame(b'{"k": "a", "s": [1], "d": 2, "q": 3}')):
+                net._on_datagram(2, data)
+            assert kernel.metrics.counters()["net.codec_rejects"].value == 2
+        finally:
+            kernel.close()
 
     def test_unencodable_value_raises(self):
         class Weird(Message):

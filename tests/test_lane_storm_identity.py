@@ -4,10 +4,12 @@ The fault matrix (``tests/test_lane_fault_matrix.py``) runs 12-node
 worlds and the golden dispatch scenario has no packet loss, so neither
 contains a retransmission dispatched *by a lane* or a fault mutation that
 a laned node rides out.  This file covers both: a storm-shaped scenario
-at 100 nodes whose full dispatch trace must be equal with lanes on, off
-and forced to the pure-Python backend, and unit cases — each against a
-lanes-off twin world — for the corners of in-lane retransmission and of
-refresh-instead-of-flush.
+at 100 nodes whose full dispatch trace must be equal with lanes on and
+off, and unit cases — each against a lanes-off twin world — for the
+corners of in-lane retransmission and of refresh-instead-of-flush.  A
+500-node world adds the compressed-bootstrap regime (above
+``FuseWorld.CLASSIC_BOOTSTRAP_MAX_NODES``) that every other lane identity
+test stays below.
 """
 
 import hashlib
@@ -24,11 +26,11 @@ from repro.world import FuseWorld
 
 from tests.conftest import world_observables
 
-MODES = ("on", "off", "py")
+MODES = ("on", "off")
 
 
 # ----------------------------------------------------------------------
-# (a) the storm, traced, in all three modes
+# (a) the storm, traced, in both modes
 # ----------------------------------------------------------------------
 def _storm(mode):
     scenario = Scenario(
@@ -71,17 +73,40 @@ def test_storm_dispatch_trace_identical_in_every_mode():
     want = world_observables(world)
     # The scenario does reach the paths under test.
     assert {"rtx:OverlayPing", "rtx:OverlayPingAck", "brk:OverlayPing"} <= labels
-    for mode in ("on", "py"):
-        laned, sha, _ = runs[mode]
-        assert sha == want_sha, f"dispatch trace diverged with lanes={mode}"
-        assert world_observables(laned) == want, f"lanes={mode}"
-        stats = laned.sim.lane_plane.stats()
-        assert stats["ejects"] == sum(stats["ejects_by_cause"].values())
-        # Lanes carried the storm: retransmissions ran (and sometimes ran
-        # out) inside them, and the one loss ramp is the only flush.
-        assert stats["micro_events_dispatched"] > 0.4 * want["events_dispatched"]
-        assert stats["ejects_by_cause"]["retries_exhausted"] > 0
-        assert stats["flushes"] == 1
+    laned, sha, _ = runs["on"]
+    assert sha == want_sha, "dispatch trace diverged with lanes on"
+    assert world_observables(laned) == want
+    stats = laned.sim.lane_plane.stats()
+    assert stats["ejects"] == sum(stats["ejects_by_cause"].values())
+    # Lanes carried the storm: retransmissions ran (and sometimes ran
+    # out) inside them, and the one loss ramp is the only flush.
+    assert stats["micro_events_dispatched"] > 0.4 * want["events_dispatched"]
+    assert stats["ejects_by_cause"]["retries_exhausted"] > 0
+    assert stats["flushes"] == 1
+
+
+def _compressed_run(lanes):
+    """Eight groups spread over the id space and two crashes, on a world
+    large enough for the compressed bootstrap schedule."""
+    world = FuseWorld(n_nodes=500, seed=23, liveness_lanes=lanes)
+    world.bootstrap()
+    ids = world.node_ids
+    n = len(ids)
+    for i in range(8):
+        root = ids[(i * n) // 8]
+        world.create_group_sync(root, [ids[((i * n) // 8 + k * 7 + 1) % n] for k in range(4)])
+    world.run_for(90_000.0)
+    world.crash(ids[n // 3])
+    world.crash(ids[(2 * n) // 3])
+    world.run_for(120_000.0)
+    return world
+
+
+def test_compressed_bootstrap_world_identical_with_lanes_on_and_off():
+    laned = _compressed_run("on")
+    assert laned.default_join_spacing_ms() < 200.0
+    assert laned.sim.lane_plane.stats()["micro_events_dispatched"] > 0
+    assert world_observables(laned) == world_observables(_compressed_run("off"))
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,14 @@
-"""Liveness-lane proofs: byte identity, ejection, fallback parity.
+"""Liveness-lane proofs: byte identity, ejection, mode resolution.
 
 The lane plane (``repro.sim.lanes``) is a pure performance layer: with
-lanes on, off, or forced to the pure-Python backend, every observable —
-dispatch trace, counters, notification times, scenario measurements —
-must be byte-identical.  These tests pin that contract:
+lanes on or off, every observable — dispatch trace, counters,
+notification times, scenario measurements — must be byte-identical.
+These tests pin that contract:
 
 * the golden dispatch trace matches the committed fixture with lanes
-  *off* and with the pure-Python backend (the default-on path is covered
-  by ``tests/test_hotpath_determinism.py``, against the same fixture, so
-  the three modes are pairwise identical by transitivity);
+  *off* (the default-on path is covered by
+  ``tests/test_hotpath_determinism.py``, against the same fixture, so
+  the two modes are identical by transitivity);
 * every builtin scenario reproduces its committed ``[expect]`` fixture
   with lanes off (lanes-on is covered by ``tests/test_api_identity.py``);
 * a link fault ejects nobody until a connection breaks (the lost pings
@@ -20,12 +20,15 @@ must be byte-identical.  These tests pin that contract:
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.scenarios import BUILTIN
-from repro.sim.lanes import LanePlane, resolve_lanes_mode
+from repro.sim.lanes import resolve_lanes_mode
 from repro.world import FuseWorld
 
 from golden_scenario import run_golden_scenario
@@ -49,10 +52,10 @@ def _golden_fixture():
 
 
 class TestGoldenTraceIdentity:
-    """Lanes off and the pure-Python lane backend reproduce the same
-    golden dispatch trace as the committed (lanes-on-verified) fixture."""
+    """Lanes off reproduces the same golden dispatch trace as the
+    committed (lanes-on-verified) fixture."""
 
-    @pytest.mark.parametrize("mode", ["off", "py"])
+    @pytest.mark.parametrize("mode", ["off"])
     def test_golden_trace_mode(self, mode, monkeypatch):
         monkeypatch.setenv("REPRO_LIVENESS_LANES", mode)
         want = _golden_fixture()
@@ -73,31 +76,50 @@ class TestScenarioIdentityLanesOff:
 
 
 class TestFallbackParity:
-    """The pure-Python lane backend is gated exactly like scipy in
-    net/routing.py: same results, numpy merely optional."""
+    """The scalar path is the fallback: a world runs with lanes on or
+    off, and no other mode exists.  The lane plane is pure Python, so
+    numpy stays optional, gated exactly like scipy in net/routing.py."""
 
-    def test_scenario_pure_python_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LIVENESS_LANES", "py")
+    def test_scenario_pure_python_backend(self):
+        # A fresh interpreter where numpy and scipy cannot be imported:
+        # the lanes-on steady scenario still matches its fixture.
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "sys.modules['scipy'] = None\n"
+            "from tests.make_api_fixtures import scenario_json\n"
+            "sys.stdout.write(scenario_json('steady'))\n"
+        )
+        repo = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=f"{repo / 'src'}{os.pathsep}{repo}")
+        env["REPRO_LIVENESS_LANES"] = "on"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=repo,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
         fixture = (OUT_DIR / "scenario_steady.json").read_text()
-        assert scenario_json("steady") == fixture
-
-    def test_forced_python_backend_reports_python(self):
-        world = FuseWorld(n_nodes=12, seed=3, liveness_lanes="py")
-        assert world.sim.lane_plane is not None
-        assert world.sim.lane_plane.backend == "python"
+        assert proc.stdout == fixture
 
     def test_mode_resolution(self, monkeypatch):
         assert resolve_lanes_mode(True) == "on"
         assert resolve_lanes_mode(False) == "off"
-        assert resolve_lanes_mode("py") == "py"
-        monkeypatch.setenv("REPRO_LIVENESS_LANES", "0")
+        assert resolve_lanes_mode("off") == "off"
+        monkeypatch.setenv("REPRO_LIVENESS_LANES", "off")
         assert resolve_lanes_mode() == "off"
-        monkeypatch.setenv("REPRO_LIVENESS_LANES", "fallback")
-        assert resolve_lanes_mode() == "py"
         monkeypatch.delenv("REPRO_LIVENESS_LANES")
         assert resolve_lanes_mode() == "on"
-        with pytest.raises(ValueError):
-            resolve_lanes_mode("bogus")
+        for bogus in ("py", "numpy", "0", "ON", ""):
+            with pytest.raises(ValueError):
+                resolve_lanes_mode(bogus)
+            monkeypatch.setenv("REPRO_LIVENESS_LANES", bogus)
+            with pytest.raises(ValueError):
+                resolve_lanes_mode()
+            monkeypatch.delenv("REPRO_LIVENESS_LANES")
 
     def test_lanes_off_world_has_no_plane(self):
         world = FuseWorld(n_nodes=12, seed=3, liveness_lanes="off")

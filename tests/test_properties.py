@@ -3,6 +3,7 @@ one-way agreement invariant."""
 
 import copy
 import inspect
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro.apps.svtree.messages
 import repro.fuse.messages
 import repro.overlay.skipnet.messages
+from repro.net.backends import codec
 from repro.net.message import Message
 from repro.overlay.id_space import clockwise_between, numeric_id_for
 from repro.overlay.skipnet.rings import RingStructure
@@ -135,6 +137,92 @@ class TestMessageCopyProperties:
             assert list(ours.__dict__) == list(reference.__dict__)
             for name, value in message.__dict__.items():
                 assert ours.__dict__[name] is reference.__dict__[name] is value
+
+
+# ---------------------------------------------------------------------------
+# Wire codec: hostile bytes raise CodecError and nothing else
+# ---------------------------------------------------------------------------
+
+_wire_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4) | st.integers(), inner, max_size=3),
+    max_leaves=8,
+)
+
+#: Names a hostile peer reuses to reach the tagged-value and envelope paths.
+_TAGS = ("__m__", "__t__", "__ik__", "__class__", "f", "k", "s", "HardNotification")
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6) | st.sampled_from(_TAGS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from(_TAGS), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots_of(tree, out):
+    """Every (container, key) position of a decoded JSON tree."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for key, value in list(items):
+        out.append((tree, key))
+        if isinstance(value, (dict, list)):
+            _slots_of(value, out)
+    return out
+
+
+def _decodes_or_rejects(data: bytes) -> None:
+    """decode_frame either raises CodecError or returns a typed frame."""
+    try:
+        kind, src, dst, seq, message = codec.decode_frame(data)
+    except codec.CodecError:
+        return
+    assert (kind == "a") == (message is None) and kind in ("a", "m")
+    assert type(src) is type(dst) is type(seq) is int
+
+
+class TestCodecRejectsHostileBytes:
+    @given(st.binary(max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_random_bytes(self, data):
+        _decodes_or_rejects(data)
+        _decodes_or_rejects(len(data).to_bytes(4, "big") + data)
+
+    @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda cls: cls.__name__)
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mutated_valid_frames(self, cls, data):
+        message = cls.__new__(cls)
+        for name in cls._slot_names[1:]:  # ``sender`` rides the envelope
+            setattr(message, name, data.draw(_wire_values))
+        if data.draw(st.booleans()):
+            frame = codec.encode_message(1, 2, 3, message)
+        else:
+            frame = codec.encode_ack(1, 2, 3)
+        body = frame[4:]
+        if data.draw(st.booleans()):
+            # Structural: replace a value, rename a key, or declare
+            # every key of an object int-keyed.
+            envelope = json.loads(body)
+            container, key = data.draw(st.sampled_from(_slots_of(envelope, [])))
+            op = data.draw(st.sampled_from(("replace", "rename", "int-keys")))
+            if op == "replace" or isinstance(container, list):
+                container[key] = data.draw(_json_values)
+            elif op == "rename":
+                container[data.draw(st.sampled_from(_TAGS))] = container.pop(key)
+            else:
+                container["__ik__"] = list(container)
+            body = json.dumps(envelope).encode()
+        else:
+            # Bytewise: overwrite, insert or delete a few bytes.
+            buf = bytearray(body)
+            for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+                at = data.draw(st.integers(min_value=0, max_value=len(buf)))
+                end = data.draw(st.integers(min_value=at, max_value=min(len(buf), at + 4)))
+                buf[at:end] = data.draw(st.binary(max_size=4))
+            body = bytes(buf)
+        _decodes_or_rejects(len(body).to_bytes(4, "big") + body)
 
 
 # ---------------------------------------------------------------------------
