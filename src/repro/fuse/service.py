@@ -35,15 +35,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import itertools
-import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from repro.fuse.api import (
-    DEPRECATED_CREATE_MSG,
-    FuseGroup,
-    GroupLedger,
-    ledger_completion,
-)
+from repro.fuse.api import FuseGroup, GroupLedger, ledger_completion
 from repro.fuse.config import FuseConfig
 from repro.fuse.ids import FuseId, make_fuse_id
 from repro.fuse.messages import (
@@ -65,7 +59,6 @@ from repro.overlay.skipnet.messages import RouteEnvelope
 from repro.overlay.skipnet.node import OverlayNode
 
 CreateCallback = Callable[[Optional[FuseId], str], None]
-NotificationObserver = Callable[[FuseId, str], None]
 
 _EMPTY_HASH = hashlib.sha1(b"").hexdigest()
 
@@ -222,11 +215,7 @@ class FuseService:
     def name(self) -> str:
         return self.host.name
 
-    def create_group(
-        self,
-        members: Sequence[NodeId],
-        on_complete: Optional[CreateCallback] = None,
-    ) -> Union[FuseGroup, FuseId]:
+    def create_group(self, members: Sequence[NodeId]) -> FuseGroup:
         """CreateGroup: build a group of this node (the root) plus ``members``.
 
         Returns a :class:`~repro.fuse.api.FuseGroup` handle carrying the
@@ -236,20 +225,7 @@ class FuseService:
         ``on_notified`` fires, and all contacted members are notified so
         no state is orphaned (§6.2).  Every attempt and outcome is also
         recorded on :attr:`ledger`.
-
-        Passing ``on_complete`` is the **deprecated** legacy form: the
-        callback fires as ``on_complete(fuse_id, "ok")`` /
-        ``on_complete(None, reason)`` exactly as before (still routed
-        through the ledger) and the bare FUSE ID is returned.
         """
-        if on_complete is not None:
-            warnings.warn(DEPRECATED_CREATE_MSG, DeprecationWarning, stacklevel=2)
-            return self._start_create(members, on_complete).fuse_id
-        return self._start_create(members, None)
-
-    def _start_create(
-        self, members: Sequence[NodeId], legacy_cb: Optional[CreateCallback]
-    ) -> FuseGroup:
         member_ids = [m for m in dict.fromkeys(members) if m != self.host.node_id]
         fuse_id = make_fuse_id(self.name, serial=next(self._fuse_id_serial))
         state = GroupState(
@@ -271,7 +247,7 @@ class FuseService:
         )
         self.ledger.record_create(fuse_id, self.host.node_id, handle.members)
         self.ledger.attach_handle(handle)
-        done = ledger_completion(self.ledger, fuse_id, legacy_cb)
+        done = ledger_completion(self.ledger, fuse_id)
 
         if not member_ids:
             self.sim.schedule_soon(lambda: self._complete_create(state, done))
@@ -319,24 +295,6 @@ class FuseService:
             )
             self._soft_notify_links(state, exclude=None)
             self._fail_group(state, "signaled")
-
-    def observe_notifications(self, observer: NotificationObserver) -> None:
-        """**Deprecated** test/experiment hook fired on every hard failure
-        at this node.  Routed through the ledger: read
-        ``FuseWorld.ledger`` or subscribe ``FuseGroup.on_member_notified``
-        instead."""
-        warnings.warn(
-            "observe_notifications is deprecated; read the world's "
-            "GroupLedger or subscribe FuseGroup.on_member_notified",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        node_id = self.host.node_id
-        self.ledger.add_note_listener(
-            lambda record, _first: observer(record.fuse_id, record.raw)
-            if record.node == node_id
-            else None
-        )
 
     def live_group_ids(self) -> List[FuseId]:
         return sorted(self.groups)

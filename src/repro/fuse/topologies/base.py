@@ -10,22 +10,15 @@ forwards notifications — live in the subclasses.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from repro.fuse.api import (
-    DEPRECATED_CREATE_MSG,
-    FuseGroup,
-    GroupLedger,
-    ledger_completion,
-)
+from repro.fuse.api import FuseGroup, GroupLedger, ledger_completion
 from repro.fuse.ids import FuseId, make_fuse_id
 from repro.net.address import NodeId
 from repro.net.message import Message
 from repro.net.node import Host, RpcReply, RpcRequest
 
-CreateCallback = Callable[[Optional[FuseId], str], None]
 FailureHandler = Callable[[FuseId], None]
 
 
@@ -141,22 +134,9 @@ class AlternativeFuseBase:
     # ------------------------------------------------------------------
     # Public API (same three calls as the overlay implementation)
     # ------------------------------------------------------------------
-    def create_group(
-        self,
-        members: Sequence[NodeId],
-        on_complete: Optional[CreateCallback] = None,
-    ) -> Union[FuseGroup, FuseId]:
+    def create_group(self, members: Sequence[NodeId]) -> FuseGroup:
         """Same contract as :meth:`repro.fuse.service.FuseService.create_group`:
-        returns a :class:`FuseGroup` handle; the ``on_complete`` form is
-        the deprecated legacy shim and returns the bare FUSE ID."""
-        if on_complete is not None:
-            warnings.warn(DEPRECATED_CREATE_MSG, DeprecationWarning, stacklevel=2)
-            return self._start_create(members, on_complete).fuse_id
-        return self._start_create(members, None)
-
-    def _start_create(
-        self, members: Sequence[NodeId], legacy_cb: Optional[CreateCallback]
-    ) -> FuseGroup:
+        returns a :class:`FuseGroup` handle."""
         member_ids = [self.host.node_id] + [
             m for m in dict.fromkeys(members) if m != self.host.node_id
         ]
@@ -166,7 +146,7 @@ class AlternativeFuseBase:
         handle = FuseGroup(self, self.ledger, fuse_id, self.host.node_id, member_ids)
         self.ledger.record_create(fuse_id, self.host.node_id, member_ids)
         self.ledger.attach_handle(handle)
-        done = ledger_completion(self.ledger, fuse_id, legacy_cb)
+        done = ledger_completion(self.ledger, fuse_id)
         self._group_installed(group)
         others = group.peers(self.host.node_id)
         if not others:

@@ -21,15 +21,9 @@ count — but all traffic converges on the server.
 from __future__ import annotations
 
 import itertools
-import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.fuse.api import (
-    DEPRECATED_CREATE_MSG,
-    FuseGroup,
-    GroupLedger,
-    ledger_completion,
-)
+from repro.fuse.api import FuseGroup, GroupLedger, ledger_completion
 from repro.fuse.ids import FuseId, make_fuse_id
 from repro.fuse.topologies.base import (
     AltCreateReply,
@@ -42,7 +36,6 @@ from repro.net.address import NodeId
 from repro.net.message import Message
 from repro.net.node import Host
 
-CreateCallback = Callable[[Optional[FuseId], str], None]
 FailureHandler = Callable[[FuseId], None]
 
 
@@ -183,22 +176,9 @@ class CentralServerFuse:
     # ------------------------------------------------------------------
     # API
     # ------------------------------------------------------------------
-    def create_group(
-        self,
-        members: Sequence[NodeId],
-        on_complete: Optional[CreateCallback] = None,
-    ) -> Union[FuseGroup, FuseId]:
+    def create_group(self, members: Sequence[NodeId]) -> FuseGroup:
         """Same contract as the overlay implementation: returns a
-        :class:`FuseGroup` handle; the ``on_complete`` form is the
-        deprecated legacy shim and returns the bare FUSE ID."""
-        if on_complete is not None:
-            warnings.warn(DEPRECATED_CREATE_MSG, DeprecationWarning, stacklevel=2)
-            return self._start_create(members, on_complete).fuse_id
-        return self._start_create(members, None)
-
-    def _start_create(
-        self, members: Sequence[NodeId], legacy_cb: Optional[CreateCallback]
-    ) -> FuseGroup:
+        :class:`FuseGroup` handle."""
         member_ids = [self.host.node_id] + [
             m for m in dict.fromkeys(members) if m != self.host.node_id
         ]
@@ -208,7 +188,7 @@ class CentralServerFuse:
         handle = FuseGroup(self, self.ledger, fuse_id, self.host.node_id, member_ids)
         self.ledger.record_create(fuse_id, self.host.node_id, member_ids)
         self.ledger.attach_handle(handle)
-        done = ledger_completion(self.ledger, fuse_id, legacy_cb)
+        done = ledger_completion(self.ledger, fuse_id)
         self._ensure_pinging()
         others = [m for m in member_ids if m != self.host.node_id]
         awaiting = set(others)

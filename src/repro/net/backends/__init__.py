@@ -7,7 +7,8 @@ Two backends implement the contracts in :mod:`repro.net.backends.base`:
   default everywhere);
 * the **live** backend — :class:`~repro.net.backends.wallclock.WallClock` +
   :class:`~repro.net.backends.livenet.LiveNetwork` over real asyncio UDP
-  sockets, assembled by :class:`~repro.net.backends.liveworld.LiveWorld`.
+  sockets, assembled by :class:`~repro.net.backends.liveworld.LiveWorld`
+  on the shared :class:`repro.world.World` base.
 
 Heavy live-backend symbols are exported lazily (PEP 562): ``base`` and
 ``wallclock`` are stdlib-only and safe for :mod:`repro.sim.clock` /
@@ -35,7 +36,6 @@ _LAZY = {
     "LiveTimerHandle": ("repro.net.backends.asynckernel", "LiveTimerHandle"),
     "LiveTransportConfig": ("repro.net.backends.config", "LiveTransportConfig"),
     "LiveNetwork": ("repro.net.backends.livenet", "LiveNetwork"),
-    "LiveFaultInjector": ("repro.net.backends.livenet", "LiveFaultInjector"),
     "LiveLossModel": ("repro.net.backends.livenet", "LiveLossModel"),
     "LiveWorld": ("repro.net.backends.liveworld", "LiveWorld"),
 }

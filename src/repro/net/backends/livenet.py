@@ -21,8 +21,8 @@ Fault injection happens on the wire, at the codec boundary of the
 * gray failure — the frame is acked (transport succeeded) but
   non-liveness messages are dropped before dispatch, bumping the same
   lazy ``net.gray_drops`` counter as the sim;
-* crash — :class:`LiveFaultInjector` closes the victim's UDP socket, so
-  in-flight and future frames hit a dead port;
+* crash — :meth:`LiveNetwork.crash_host` closes the victim's UDP socket,
+  so in-flight and future frames hit a dead port;
 * latency — delivery is deferred by ``path_latency_ms`` scaled by
   ``faults.latency_factor`` (localhost is effectively instant, so the
   synthetic latency stands in for the simulated topology's paths).
@@ -41,7 +41,7 @@ from typing import Callable, Dict, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.net.address import NodeId
 from repro.net.backends import codec
-from repro.net.backends.base import NetworkBackend
+from repro.net.backends.base import NetworkBackend, SendAttempt
 from repro.net.backends.config import LiveTransportConfig
 from repro.net.faults import FaultInjector
 from repro.net.message import Message
@@ -50,40 +50,10 @@ from repro.sim.metrics import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.backends.asynckernel import AsyncioKernel
-    from repro.net.node import Host
 
 FailureCallback = Callable[[NodeId, Message], None]
 
 _PairKey = Tuple[NodeId, NodeId]
-
-
-class LiveFaultInjector(FaultInjector):
-    """Fault state shared with the sim injector, plus socket side effects.
-
-    All pairwise state (partitions, blocks, gray, latency factors) is
-    inherited unchanged — the live network consults it at the receive
-    boundary.  ``crash``/``recover`` additionally close and reopen the
-    victim's UDP endpoint once bound to a :class:`LiveNetwork`, so
-    scenario tracks that talk to ``world.net.faults`` directly get real
-    socket-level crashes without knowing which backend they run on.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._network: Optional["LiveNetwork"] = None
-
-    def bind(self, network: "LiveNetwork") -> None:
-        self._network = network
-
-    def crash(self, node: NodeId) -> None:
-        super().crash(node)
-        if self._network is not None:
-            self._network._close_endpoint(node)
-
-    def recover(self, node: NodeId) -> None:
-        super().recover(node)
-        if self._network is not None:
-            self._network._reopen_endpoint(node)
 
 
 class LiveLossModel:
@@ -163,17 +133,14 @@ class _DedupeWindow:
             self.pending.discard(self.watermark)
 
 
-class _LivePending:
+class _LivePending(SendAttempt):
     """Retransmission state for one unacked data frame."""
 
-    __slots__ = (
-        "net", "src", "dst", "seq", "frame", "type_name", "on_fail",
-        "src_incarnation", "attempt_index", "rto_ms", "timer", "done",
-    )
+    __slots__ = ("seq", "frame", "type_name", "timer", "done")
 
     def __init__(
         self,
-        net: "LiveNetwork",
+        network: "LiveNetwork",
         src: NodeId,
         dst: NodeId,
         seq: int,
@@ -182,74 +149,55 @@ class _LivePending:
         on_fail: Optional[FailureCallback],
         src_incarnation: int,
     ) -> None:
-        self.net = net
-        self.src = src
-        self.dst = dst
+        super().__init__(network, src, dst, on_fail, src_incarnation)
         self.seq = seq
         self.frame = frame
         self.type_name = type_name
-        self.on_fail = on_fail
-        self.src_incarnation = src_incarnation
-        self.attempt_index = 0
-        self.rto_ms = net.config.rto_initial_ms
         self.done = False
         self.timer = None
 
+    @property
+    def message(self) -> Message:
+        # Decode the retained frame so the failure callback sees the same
+        # message object shape a receiver would have.
+        _, _, _, _, message = codec.decode_frame(self.frame)
+        assert message is not None
+        return message
+
     def transmit(self) -> None:
-        net = self.net
+        net = self.network
         net._ctr_transmissions.value += 1
         net._sendto(self.src, self.dst, self.frame)
         self.timer = net.sim.call_after(
             self.rto_ms, self._on_timeout, label=f"rto:{self.type_name}"
         )
 
-    def acked(self) -> None:
-        if self.done:
-            return
+    def retire(self) -> None:
+        """Stop retransmitting: cancel the timer and forget the frame."""
         self.done = True
         if self.timer is not None:
             self.timer.cancel()
-        net = self.net
-        net._pending.pop((self.src, self.dst, self.seq), None)
-        net._mark_connected(self.src, self.dst)
+        self.network._pending.pop((self.src, self.dst, self.seq), None)
+
+    def acked(self) -> None:
+        if self.done:
+            return
+        self.retire()
+        self.network._mark_connected(self.src, self.dst)
 
     def _on_timeout(self) -> None:
         if self.done:
             return
-        net = self.net
-        sender = net._hosts.get(self.src)
-        if sender is None or not sender.alive or sender.incarnation != self.src_incarnation:
-            self.done = True
-            net._pending.pop((self.src, self.dst, self.seq), None)
+        sender = self.network._hosts[self.src]
+        if not sender.alive or sender.incarnation != self.src_incarnation:
+            self.retire()
             return
-        if self.attempt_index < net.config.max_retries:
-            self.attempt_index += 1
-            self.rto_ms *= net.config.rto_backoff
-            self.transmit()
+        # The wire retransmits at once, so the returned delay is unused:
+        # the next timeout is the backed-off rto_ms.
+        if self._segment_lost() is None:
+            self.retire()  # the connection broke; on_fail is scheduled
             return
-        # Retries exhausted: the connection breaks.
-        self.done = True
-        net._pending.pop((self.src, self.dst, self.seq), None)
-        net._break_connection(self.src, self.dst)
-        net._ctr_breaks.value += 1
-        if self.on_fail is not None:
-            on_fail = self.on_fail
-            net.sim.schedule_after(
-                self.rto_ms, lambda: self._report_failure(on_fail),
-                label=f"brk:{self.type_name}",
-            )
-
-    def _report_failure(self, on_fail: FailureCallback) -> None:
-        sender = self.net._hosts.get(self.src)
-        if sender is not None and sender.alive and sender.incarnation == self.src_incarnation:
-            on_fail(self.dst, self.frame_message())
-
-    def frame_message(self) -> Message:
-        # Decode the retained frame so the failure callback sees the same
-        # message object shape a receiver would have.
-        _, _, _, _, message = codec.decode_frame(self.frame)
-        assert message is not None
-        return message
+        self.transmit()
 
 
 class _UdpProtocol(asyncio.DatagramProtocol):
@@ -275,45 +223,20 @@ class LiveNetwork(NetworkBackend):
         config: Optional[LiveTransportConfig] = None,
         faults: Optional[FaultInjector] = None,
     ) -> None:
-        self.sim = sim
-        self.config = config or LiveTransportConfig()
-        self.faults = faults or LiveFaultInjector()
-        if isinstance(self.faults, LiveFaultInjector):
-            self.faults.bind(self)
+        super().__init__(sim, config or LiveTransportConfig(), faults or FaultInjector())
         self.loss_model = LiveLossModel()
-        self._hosts: Dict[NodeId, "Host"] = {}
         self._transports: Dict[NodeId, asyncio.DatagramTransport] = {}
         self._addrs: Dict[NodeId, Tuple[str, int]] = {}
-        self._connections: Set[_PairKey] = set()
         self._next_seq: Dict[_PairKey, int] = {}
         self._pending: Dict[Tuple[NodeId, NodeId, int], _LivePending] = {}
         self._dedupe: Dict[_PairKey, _DedupeWindow] = {}
-        self._rng = sim.rng.stream("net.transport")
-        metrics = sim.metrics
-        self._ctr_messages = metrics.counter("net.messages")
-        self._ctr_bytes = metrics.counter("net.bytes")
-        self._ctr_deliveries = metrics.counter("net.deliveries")
-        self._ctr_transmissions = metrics.counter("net.transmissions")
-        self._ctr_breaks = metrics.counter("net.connection_breaks")
-        self._msg_type_counters: Dict[str, Counter] = {}
-        self._ctr_gray_drops: Optional[Counter] = None
+        self._reopening: Set[asyncio.Task] = set()  # the loop holds tasks weakly
         self._ctr_codec_rejects: Optional[Counter] = None
         self._closed = False
 
     # ------------------------------------------------------------------
-    # Host registry and endpoints
+    # Endpoints
     # ------------------------------------------------------------------
-    def register_host(self, host: "Host") -> None:
-        if host.node_id in self._hosts:
-            raise ValueError(f"host {host.node_id} already registered")
-        self._hosts[host.node_id] = host
-
-    def host(self, node_id: NodeId) -> "Host":
-        return self._hosts[node_id]
-
-    def hosts(self) -> Dict[NodeId, "Host"]:
-        return dict(self._hosts)
-
     async def open_endpoints(self) -> None:
         """Bind one UDP socket per registered host (setup phase)."""
         for node_id in self._hosts:
@@ -334,49 +257,20 @@ class LiveNetwork(NetworkBackend):
         if transport is not None:
             transport.close()
 
-    def _reopen_endpoint(self, node_id: NodeId) -> None:
+    def _on_host_crash(self, node_id: NodeId) -> None:
+        self._close_endpoint(node_id)
+
+    def _on_host_recover(self, node_id: NodeId) -> None:
         """Reopen a recovered host's socket (new ephemeral port).
 
         Runs as a loop task because tracks trigger recovery from inside
         timer callbacks; sends in the gap blackhole and are covered by
         the retransmission schedule.
         """
-        if node_id in self._transports or node_id not in self._hosts:
-            return
-        self.sim.loop.create_task(self._open(node_id))
-
-    # ------------------------------------------------------------------
-    # Fault convenience wrappers (mirror the simulated Network)
-    # ------------------------------------------------------------------
-    def crash_host(self, node_id: NodeId) -> None:
-        self.faults.crash(node_id)  # closes the endpoint via LiveFaultInjector
-        self._close_endpoint(node_id)  # idempotent: direct injector not bound
-        self._hosts[node_id].mark_crashed()
-        self._purge_connections(node_id)
-
-    def recover_host(self, node_id: NodeId) -> None:
-        self.faults.recover(node_id)
-        self._reopen_endpoint(node_id)  # idempotent
-        self._hosts[node_id].mark_recovered()
-
-    def disconnect_host(self, node_id: NodeId) -> None:
-        self.faults.disconnect(node_id)
-        self._purge_connections(node_id)
-
-    def reconnect_host(self, node_id: NodeId) -> None:
-        self.faults.reconnect(node_id)
-
-    def _purge_connections(self, node_id: NodeId) -> None:
-        self._connections = {pair for pair in self._connections if node_id not in pair}
-
-    def has_connection(self, a: NodeId, b: NodeId) -> bool:
-        return ((a, b) if a <= b else (b, a)) in self._connections
-
-    def _mark_connected(self, a: NodeId, b: NodeId) -> None:
-        self._connections.add((a, b) if a <= b else (b, a))
-
-    def _break_connection(self, a: NodeId, b: NodeId) -> None:
-        self._connections.discard((a, b) if a <= b else (b, a))
+        if node_id not in self._transports:
+            task = self.sim.loop.create_task(self._open(node_id))
+            self._reopening.add(task)
+            task.add_done_callback(self._reopening.discard)
 
     # ------------------------------------------------------------------
     # Sending
@@ -399,11 +293,7 @@ class LiveNetwork(NetworkBackend):
 
         type_name = type(message).__name__
         self._ctr_messages.value += 1
-        type_counter = self._msg_type_counters.get(type_name)
-        if type_counter is None:
-            type_counter = self.sim.metrics.counter(f"net.msg.{type_name}")
-            self._msg_type_counters[type_name] = type_counter
-        type_counter.value += 1
+        self._type_counter(type_name).value += 1
         self._ctr_bytes.value += message.size_bytes
 
         # Serialization is the isolation boundary (the receiver always
@@ -478,18 +368,11 @@ class LiveNetwork(NetworkBackend):
             return
         window.add(seq)
 
-        gray = faults._gray
-        if gray and dst in gray and not message.is_liveness:
-            ctr = self._ctr_gray_drops
-            if ctr is None:
-                ctr = self._ctr_gray_drops = self.sim.metrics.counter("net.gray_drops")
-            ctr.value += 1
+        if self._gray_drop(dst, message):
             return
 
         # Synthetic path latency stands in for the simulated topology.
-        latency = self.config.path_latency_ms
-        if faults._latency_factors:
-            latency *= faults.latency_factor(src, dst)
+        latency = self.config.path_latency_ms * faults.latency_factor(src, dst)
         jitter = self._rng.uniform(0.0, self.config.jitter_fraction) * latency
         self.sim.schedule_after(
             latency + jitter,
@@ -511,9 +394,10 @@ class LiveNetwork(NetworkBackend):
         if self._closed:
             return
         self._closed = True
+        # Cancel every retransmission without marking its pair connected:
+        # an unacked frame proves nothing about the path.
         for state in list(self._pending.values()):
-            state.acked()  # cancels timers
-        self._pending.clear()
+            state.retire()
         for node_id in list(self._transports):
             self._close_endpoint(node_id)
 

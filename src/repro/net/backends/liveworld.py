@@ -1,6 +1,6 @@
 """LiveWorld: a complete FUSE deployment over real asyncio UDP sockets.
 
-The live twin of :class:`repro.world.FuseWorld` — same protocol objects
+The live subclass of :class:`repro.world.World` — same protocol objects
 (:class:`~repro.net.node.Host`, :class:`~repro.overlay.skipnet.node.OverlayNode`,
 :class:`~repro.fuse.service.FuseService`, one shared
 :class:`~repro.fuse.api.GroupLedger`), bound to an
@@ -22,22 +22,14 @@ multi-virtual-minute scenarios inside seconds of real time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
-from repro.fuse.api import FuseGroup, GroupLedger, GroupStatus
 from repro.fuse.config import FuseConfig
-from repro.fuse.ids import FuseId
-from repro.fuse.service import FuseService
-from repro.net.address import NodeId
 from repro.net.backends.asynckernel import AsyncioKernel
 from repro.net.backends.config import LiveTransportConfig
 from repro.net.backends.livenet import LiveNetwork
-from repro.net.node import Host
 from repro.overlay.skipnet.config import OverlayConfig
-from repro.overlay.skipnet.node import OverlayNode
-from repro.overlay.skipnet.overlay import SkipNetOverlay
-
-MINUTE_MS = 60_000.0
+from repro.world import World
 
 
 def _raise_fd_limit(n_sockets: int) -> None:
@@ -55,7 +47,7 @@ def _raise_fd_limit(n_sockets: int) -> None:
         pass
 
 
-class LiveWorld:
+class LiveWorld(World):
     """A fully wired FUSE deployment running over localhost UDP."""
 
     def __init__(
@@ -66,44 +58,15 @@ class LiveWorld:
         overlay_config: Optional[OverlayConfig] = None,
         fuse_config: Optional[FuseConfig] = None,
         transport: Optional[LiveTransportConfig] = None,
-        trace: bool = False,  # accepted for FuseWorld signature parity
     ) -> None:
         if transport is None:
             transport = LiveTransportConfig(time_scale=time_scale)
         _raise_fd_limit(n_nodes)
-        self.sim = AsyncioKernel(seed=seed, time_scale=transport.time_scale)
-        self.net = LiveNetwork(self.sim, config=transport)
-        self.topology = self.net.loss_model  # the wire's loss/burst knobs
-        self.overlay = SkipNetOverlay(self.sim, self.net, overlay_config)
-        self.fuse_config = fuse_config or FuseConfig()
-        self.ledger = GroupLedger(self.sim, self.net.faults)
-
-        self.node_ids: List[NodeId] = list(range(n_nodes))
-        self.hosts: Dict[NodeId, Host] = {}
-        self.overlay_nodes: Dict[NodeId, OverlayNode] = {}
-        self.fuse_services: Dict[NodeId, FuseService] = {}
-        for node_id in self.node_ids:
-            host = Host(self.net, node_id, name=f"node-{node_id:05d}")
-            overlay_node = self.overlay.create_node(host)
-            self.hosts[node_id] = host
-            self.overlay_nodes[node_id] = overlay_node
-            self.fuse_services[node_id] = FuseService(
-                overlay_node, self.fuse_config, ledger=self.ledger
-            )
+        sim = AsyncioKernel(seed=seed, time_scale=transport.time_scale)
+        net = LiveNetwork(sim, config=transport)
+        self.topology = net.loss_model  # the wire's loss/burst knobs
+        super().__init__(sim, net, list(range(n_nodes)), overlay_config, fuse_config)
         self._closed = False
-
-    # ------------------------------------------------------------------
-    # Bootstrap and clock control (mirrors FuseWorld)
-    # ------------------------------------------------------------------
-    CLASSIC_BOOTSTRAP_MAX_NODES = 400
-    AUTO_JOIN_WINDOW_MS = 30_000.0
-    AUTO_JOIN_SPACING_MIN_MS = 2.0
-
-    def default_join_spacing_ms(self) -> float:
-        n = len(self.node_ids)
-        if n <= self.CLASSIC_BOOTSTRAP_MAX_NODES:
-            return 200.0
-        return max(self.AUTO_JOIN_SPACING_MIN_MS, self.AUTO_JOIN_WINDOW_MS / n)
 
     #: Peers joining concurrently during bootstrap.  On the simulator a
     #: join costs zero wall time, so any spacing works; on real sockets
@@ -157,103 +120,10 @@ class LiveWorld:
                         node.join()
         self.sim.run_until_time(self.sim.now + settle_ms)
 
-    def run_for(self, duration_ms: float) -> None:
-        self.sim.run_for(duration_ms)
-
-    def run_for_minutes(self, minutes: float) -> None:
-        self.sim.run_for(minutes * MINUTE_MS)
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-    # ------------------------------------------------------------------
-    # Accessors
-    # ------------------------------------------------------------------
-    def fuse(self, node_id: NodeId) -> FuseService:
-        return self.fuse_services[node_id]
-
-    def host(self, node_id: NodeId) -> Host:
-        return self.hosts[node_id]
-
-    def overlay_node(self, node_id: NodeId) -> OverlayNode:
-        return self.overlay_nodes[node_id]
-
-    def alive_node_ids(self) -> List[NodeId]:
-        return [nid for nid in self.node_ids if self.hosts[nid].alive]
-
-    # ------------------------------------------------------------------
-    # Group creation conveniences
-    # ------------------------------------------------------------------
-    def create_group(self, root: NodeId, members: Sequence[NodeId]) -> FuseGroup:
-        return self.fuse(root).create_group(members)
-
-    def create_group_sync(
-        self,
-        root: NodeId,
-        members: Sequence[NodeId],
-        max_wait_ms: float = 120_000.0,
-    ) -> Tuple[Optional[FuseId], str, float]:
-        """Create a group and drive the loop until creation completes."""
-        outcome: Dict[str, object] = {}
-        started = self.sim.now
-
-        def live(group: FuseGroup) -> None:
-            outcome["fuse_id"] = group.fuse_id
-            outcome["status"] = "ok"
-            outcome["latency"] = self.sim.now - started
-
-        def notified(group: FuseGroup, _reason) -> None:
-            if group.status is not GroupStatus.FAILED_CREATE or "status" in outcome:
-                return
-            outcome["fuse_id"] = None
-            outcome["status"] = group.create_failure_reason or "create-failed"
-            outcome["latency"] = self.sim.now - started
-
-        self.create_group(root, members).on_live(live).on_notified(notified)
-        self.sim.run_until(lambda: "status" in outcome, timeout_ms=max_wait_ms)
-        if "status" not in outcome:
-            return None, "no-completion", self.sim.now - started
-        return (
-            outcome.get("fuse_id"),  # type: ignore[return-value]
-            str(outcome["status"]),
-            float(outcome["latency"]),  # type: ignore[arg-type]
-        )
-
-    # ------------------------------------------------------------------
-    # Fault conveniences
-    # ------------------------------------------------------------------
-    def crash(self, node_id: NodeId) -> None:
-        self.net.crash_host(node_id)
-
-    def disconnect(self, node_id: NodeId) -> None:
-        self.net.disconnect_host(node_id)
-
-    def restart(self, node_id: NodeId) -> None:
-        """Recover a crashed node (fresh socket) and rejoin the overlay."""
-        self.net.recover_host(node_id)
-        node = self.overlay_nodes[node_id]
-        if not node.joined:
-            node.join()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
+        """Close every socket and the event loop (idempotent)."""
         if self._closed:
             return
         self._closed = True
         self.net.close()
         self.sim.close()
-
-    def __enter__(self) -> "LiveWorld":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"LiveWorld(nodes={len(self.node_ids)}, t={self.sim.now / 1000.0:.1f}s, "
-            f"members={self.overlay.member_count})"
-        )

@@ -20,8 +20,8 @@ network failures come from.  The fault model matches §3.5 of the paper:
   healthy kernel network stack).  Liveness stays green, so FUSE's ping
   plane never suspects it; detection has to come from the application's
   own request/response timeouts (§3.4's explicit SignalFailure path).
-  Consulted by :meth:`repro.net.network.Network._deliver` per message
-  class — liveness messages (``Message.is_liveness``) are exempt;
+  Consulted by :meth:`repro.net.backends.base.NetworkBackend._gray_drop`
+  per message class — liveness messages (``Message.is_liveness``) are exempt;
 * **performance faults** — latency-inflation and bandwidth-contention
   windows scoped to a node: all traffic touching it is slowed by a
   multiplicative factor (latency) or its sends serialize more slowly
@@ -74,6 +74,15 @@ class FaultInjector:
         #: bumped by every mutator; caches keyed on fault state (the
         #: liveness lanes' can_communicate fast path) compare this.
         self._mutations = 0
+        #: True while a gray failure or performance fault is installed:
+        #: a packet that can get through may still be slowed or dropped
+        #: at delivery.  A plain attribute, kept current by every
+        #: mutator, so the networks' per-packet fast path is one load.
+        self.shapes_traffic = False
+
+    def _mutated(self) -> None:
+        self._mutations += 1
+        self.shapes_traffic = bool(self._gray or self._latency_factors or self._send_factors)
 
     @property
     def mutation_count(self) -> int:
@@ -101,13 +110,13 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def crash(self, node: NodeId) -> None:
         self._crashed.add(node)
-        self._mutations += 1
+        self._mutated()
 
     def recover(self, node: NodeId) -> None:
         """Restart a crashed node (the process reinitializes from scratch,
         per the paper's trivial crash-recovery story in §3.6)."""
         self._crashed.discard(node)
-        self._mutations += 1
+        self._mutated()
 
     def is_crashed(self, node: NodeId) -> bool:
         return node in self._crashed
@@ -121,11 +130,11 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def disconnect(self, node: NodeId) -> None:
         self._disconnected.add(node)
-        self._mutations += 1
+        self._mutated()
 
     def reconnect(self, node: NodeId) -> None:
         self._disconnected.discard(node)
-        self._mutations += 1
+        self._mutated()
 
     def is_disconnected(self, node: NodeId) -> bool:
         return node in self._disconnected
@@ -138,11 +147,11 @@ class FaultInjector:
         if a == b:
             raise ValueError("cannot block a node from itself")
         self._blocked_pairs.add(frozenset((a, b)))
-        self._mutations += 1
+        self._mutated()
 
     def unblock_pair(self, a: NodeId, b: NodeId) -> None:
         self._blocked_pairs.discard(frozenset((a, b)))
-        self._mutations += 1
+        self._mutated()
 
     # ------------------------------------------------------------------
     # Asymmetric (one-way) failures
@@ -153,11 +162,11 @@ class FaultInjector:
         if src == dst:
             raise ValueError("cannot block a node from itself")
         self._blocked_one_way.add((src, dst))
-        self._mutations += 1
+        self._mutated()
 
     def unblock_one_way(self, src: NodeId, dst: NodeId) -> None:
         self._blocked_one_way.discard((src, dst))
-        self._mutations += 1
+        self._mutated()
 
     def block_one_way_sets(self, srcs: Iterable[NodeId], dsts: Iterable[NodeId]) -> None:
         """Drop every packet from any node in ``srcs`` to any node in
@@ -168,12 +177,12 @@ class FaultInjector:
         if cut[0] & cut[1]:
             raise ValueError("one-way cut sides overlap")
         self._one_way_cuts.append(cut)
-        self._mutations += 1
+        self._mutated()
 
     def unblock_one_way_sets(self, srcs: Iterable[NodeId], dsts: Iterable[NodeId]) -> None:
         cut = (frozenset(srcs), frozenset(dsts))
         self._one_way_cuts = [c for c in self._one_way_cuts if c != cut]
-        self._mutations += 1
+        self._mutated()
 
     def is_one_way_blocked(self, src: NodeId, dst: NodeId) -> bool:
         if (src, dst) in self._blocked_one_way:
@@ -205,11 +214,11 @@ class FaultInjector:
         transport believes the packet was delivered — no retransmission,
         no broken socket — so only application-level timeouts can see it."""
         self._gray.add(node)
-        self._mutations += 1
+        self._mutated()
 
     def gray_recover(self, node: NodeId) -> None:
         self._gray.discard(node)
-        self._mutations += 1
+        self._mutated()
 
     def is_gray_failed(self, node: NodeId) -> bool:
         return node in self._gray
@@ -225,11 +234,11 @@ class FaultInjector:
         """Multiply the propagation latency of every packet to or from
         ``node`` by ``factor``.  Factors from both endpoints compound."""
         self._latency_factors[node] = _validate_factor(factor, "latency factor")
-        self._mutations += 1
+        self._mutated()
 
     def restore_latency(self, node: NodeId) -> None:
         self._latency_factors.pop(node, None)
-        self._mutations += 1
+        self._mutated()
 
     def latency_factor(self, a: NodeId, b: NodeId) -> float:
         """Combined latency multiplier for a packet from ``a`` to ``b``."""
@@ -243,11 +252,11 @@ class FaultInjector:
         modeling a congested uplink: its sends serialize more slowly and
         its outbound queue backs up."""
         self._send_factors[node] = _validate_factor(factor, "bandwidth contention factor")
-        self._mutations += 1
+        self._mutated()
 
     def restore_bandwidth(self, node: NodeId) -> None:
         self._send_factors.pop(node, None)
-        self._mutations += 1
+        self._mutated()
 
     def send_factor(self, node: NodeId) -> float:
         return self._send_factors.get(node, 1.0)
@@ -274,11 +283,11 @@ class FaultInjector:
                 if node in self._partition_of:
                     raise ValueError(f"node {node} appears in two partition groups")
                 self._partition_of[node] = index
-        self._mutations += 1
+        self._mutated()
 
     def heal_partition(self) -> None:
         self._partition_of.clear()
-        self._mutations += 1
+        self._mutated()
 
     # ------------------------------------------------------------------
     # The one question the network asks
@@ -317,11 +326,7 @@ class FaultInjector:
         self._gray.clear()
         self._latency_factors.clear()
         self._send_factors.clear()
-        self._mutations += 1
-
-    def clear(self) -> None:
-        """Remove every injected fault (alias of :meth:`clear_all`)."""
-        self.clear_all()
+        self._mutated()
 
     # ------------------------------------------------------------------
     # Snapshot / restore (fuzz trials, nested fault windows)
@@ -370,7 +375,7 @@ class FaultInjector:
         self._send_factors = dict(snapshot.get("send_factors", {}))
         if topology is not None:
             topology.restore_burst(snapshot.get("burst", {}))
-        self._mutations += 1
+        self._mutated()
 
     def __repr__(self) -> str:
         return (

@@ -220,9 +220,7 @@ def run_parity(
                     f"live={live_lat[key]:.0f}ms delta>{tol:.0f}ms"
                 )
     finally:
-        close = getattr(live_ctx.world, "close", None)
-        if close is not None:
-            close()
+        live_ctx.world.close()
     return result
 
 

@@ -245,6 +245,17 @@ class Simulator:
         """Run for ``duration`` milliseconds of virtual time from now."""
         return self.run(until=self.clock.now + duration, max_events=max_events)
 
+    def run_until(self, predicate: Callable[[], bool], timeout_ms: float) -> bool:
+        """Dispatch events one at a time until ``predicate()`` holds, the
+        queue drains, or ``timeout_ms`` of virtual time has passed.
+        Returns whether the predicate held — the same contract as
+        :meth:`repro.net.backends.asynckernel.AsyncioKernel.run_until`."""
+        deadline = self.clock.now + timeout_ms
+        while not predicate():
+            if self.clock.now >= deadline or not self.step():
+                return False
+        return True
+
     def stop(self) -> None:
         """Request that the current :meth:`run` return after this event."""
         self._stop_requested = True

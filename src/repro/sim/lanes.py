@@ -751,7 +751,7 @@ class LanePlane:
                 # on_fail).
                 ctr_msgs.value += 1
                 if ctr_ack is None:
-                    ctr_ack = self._type_counter("OverlayPingAck")
+                    ctr_ack = self._net._type_counter("OverlayPingAck")
                     self._ctr_ack = ctr_ack
                 ctr_ack.value += 1
                 ctr_bytes.value += _ACK_BYTES
@@ -856,7 +856,7 @@ class LanePlane:
         else:
             send_recs = recs
         if send_recs and ctr_ping is None:
-            ctr_ping = self._type_counter("OverlayPing")
+            ctr_ping = self._net._type_counter("OverlayPing")
             self._ctr_ping = ctr_ping
 
         hpush = heappush
@@ -965,18 +965,6 @@ class LanePlane:
             heappush(self._q, (arrival, seq, f.kind, f))
         else:
             self._segment_lost(f, ack, now, state)
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _type_counter(self, type_name: str):
-        """Mirror of Network.send's lazy per-type counter creation."""
-        net = self._net
-        counter = net._msg_type_counters.get(type_name)
-        if counter is None:
-            counter = net.sim.metrics.counter(f"net.msg.{type_name}")
-            net._msg_type_counters[type_name] = counter
-        return counter
 
     def __repr__(self) -> str:
         return (

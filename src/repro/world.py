@@ -1,16 +1,24 @@
-"""FuseWorld: one-call assembly of a complete simulated deployment.
+"""Worlds: one-call assembly of a complete FUSE deployment.
 
-Everything the paper's testbed provides — a wide-area topology, a TCP-ish
-messaging layer, a SkipNet overlay with N virtual nodes, and a FUSE
-service on each — wired together and bootstrapped.  Tests, examples, and
-the experiment harness all start from here::
+Everything the paper's testbed provides — a network, a SkipNet overlay
+with N virtual nodes, and a FUSE service on each — wired together and
+bootstrapped.  :class:`World` is what every deployment shares; the two
+backends differ only in the kernel, the network, and how ``bootstrap``
+joins peers:
+
+* :class:`FuseWorld` — the deterministic simulator over a wide-area
+  Mercator topology and a TCP-ish messaging layer;
+* :class:`repro.net.backends.liveworld.LiveWorld` — an asyncio loop and
+  real UDP sockets on localhost.
+
+Tests, examples, and the experiment harness all start from here::
 
     world = FuseWorld(n_nodes=400, seed=1)
     world.bootstrap()                      # all nodes join the overlay
-    fid = world.create_group_sync(0, [5, 9, 13])
+    fid, status, latency = world.create_group_sync(0, [5, 9, 13])
     world.net.disconnect_host(9)
     world.run_for_minutes(5)
-    assert world.fuse(0).notifications[fid]
+    assert world.ledger.was_notified(fid, 0)
 """
 
 from __future__ import annotations
@@ -35,60 +43,15 @@ from repro.sim.lanes import LanePlane, resolve_lanes_mode
 MINUTE_MS = 60_000.0
 
 
-class FuseWorld:
-    """A fully wired simulated FUSE deployment."""
+class World:
+    """A wired FUSE deployment on a given kernel (``sim``) and network.
 
-    def __init__(
-        self,
-        n_nodes: int = 400,
-        seed: int = 0,
-        mercator: Optional[MercatorConfig] = None,
-        overlay_config: Optional[OverlayConfig] = None,
-        fuse_config: Optional[FuseConfig] = None,
-        transport: Optional[TransportConfig] = None,
-        trace: bool = False,
-        liveness_lanes: Optional[object] = None,
-    ) -> None:
-        self.sim = Simulator(seed=seed, trace=trace)
-        self.mercator = mercator or MercatorConfig.scaled_for_hosts(n_nodes)
-        if self.mercator.n_hosts < n_nodes:
-            raise ValueError("mercator config has fewer hosts than requested nodes")
-        topo, host_ids = build_mercator_topology(self.mercator, self.sim.rng.stream("topology"))
-        self.topology = topo
-        self.net = Network(self.sim, topo, config=transport)
-        self.overlay = SkipNetOverlay(self.sim, self.net, overlay_config)
-        self.fuse_config = fuse_config or FuseConfig()
-        # The world-wide notification ledger: every FuseService records
-        # group creations and per-member notifications here, making it
-        # the single source of truth for agreement / false-positive /
-        # latency accounting (see repro.fuse.api and docs/API.md).
-        self.ledger = GroupLedger(self.sim, self.net.faults)
+    Builds the overlay, the world-wide ledger and one
+    ``Host``/``OverlayNode``/``FuseService`` per node id, in that order.
+    Subclasses construct the kernel and the network first and provide
+    ``bootstrap``.
+    """
 
-        self.node_ids: List[NodeId] = host_ids[:n_nodes]
-        self.hosts: Dict[NodeId, Host] = {}
-        self.overlay_nodes: Dict[NodeId, OverlayNode] = {}
-        self.fuse_services: Dict[NodeId, FuseService] = {}
-        for node_id in self.node_ids:
-            host = Host(self.net, node_id, name=f"node-{node_id:05d}")
-            overlay_node = self.overlay.create_node(host)
-            self.hosts[node_id] = host
-            self.overlay_nodes[node_id] = overlay_node
-            self.fuse_services[node_id] = FuseService(
-                overlay_node, self.fuse_config, ledger=self.ledger
-            )
-
-        # Liveness lanes: the batched fast path for steady-state ping
-        # traffic (repro.sim.lanes).  ``liveness_lanes`` overrides the
-        # REPRO_LIVENESS_LANES environment default ("on").
-        self.lanes_mode = resolve_lanes_mode(liveness_lanes)
-        if self.lanes_mode == "on":
-            plane = LanePlane(self.sim, self.net, self.overlay)
-            self.sim.lane_plane = plane
-            self.overlay.lane_plane = plane
-
-    # ------------------------------------------------------------------
-    # Bootstrap and clock control
-    # ------------------------------------------------------------------
     #: Node count up to which the default join schedule uses the classic
     #: 200 ms spacing (every committed fixture and test world is below
     #: this, so their event streams are bit-for-bit unchanged).
@@ -99,6 +62,40 @@ class FuseWorld:
     #: same-instant thundering herd).
     AUTO_JOIN_SPACING_MIN_MS = 2.0
 
+    def __init__(
+        self,
+        sim,
+        net,
+        node_ids: List[NodeId],
+        overlay_config: Optional[OverlayConfig] = None,
+        fuse_config: Optional[FuseConfig] = None,
+    ) -> None:
+        self.sim = sim
+        self.net = net
+        self.overlay = SkipNetOverlay(sim, net, overlay_config)
+        self.fuse_config = fuse_config or FuseConfig()
+        # The world-wide notification ledger: every FuseService records
+        # group creations and per-member notifications here, making it
+        # the single source of truth for agreement / false-positive /
+        # latency accounting (see repro.fuse.api and docs/API.md).
+        self.ledger = GroupLedger(sim, net.faults)
+
+        self.node_ids = node_ids
+        self.hosts: Dict[NodeId, Host] = {}
+        self.overlay_nodes: Dict[NodeId, OverlayNode] = {}
+        self.fuse_services: Dict[NodeId, FuseService] = {}
+        for node_id in node_ids:
+            host = Host(net, node_id, name=f"node-{node_id:05d}")
+            overlay_node = self.overlay.create_node(host)
+            self.hosts[node_id] = host
+            self.overlay_nodes[node_id] = overlay_node
+            self.fuse_services[node_id] = FuseService(
+                overlay_node, self.fuse_config, ledger=self.ledger
+            )
+
+    # ------------------------------------------------------------------
+    # Bootstrap and clock control
+    # ------------------------------------------------------------------
     def default_join_spacing_ms(self) -> float:
         """The join spacing ``bootstrap()`` uses when none is given.
 
@@ -118,6 +115,145 @@ class FuseWorld:
         if n <= self.CLASSIC_BOOTSTRAP_MAX_NODES:
             return 200.0
         return max(self.AUTO_JOIN_SPACING_MIN_MS, self.AUTO_JOIN_WINDOW_MS / n)
+
+    def run_for(self, duration_ms: float) -> None:
+        self.sim.run_for(duration_ms)
+
+    def run_for_minutes(self, minutes: float) -> None:
+        self.sim.run_for(minutes * MINUTE_MS)
+
+    @property
+    def now(self) -> float:
+        return self.sim.now
+
+    # ------------------------------------------------------------------
+    # Accessors
+    # ------------------------------------------------------------------
+    def fuse(self, node_id: NodeId) -> FuseService:
+        return self.fuse_services[node_id]
+
+    def host(self, node_id: NodeId) -> Host:
+        return self.hosts[node_id]
+
+    def overlay_node(self, node_id: NodeId) -> OverlayNode:
+        return self.overlay_nodes[node_id]
+
+    def alive_node_ids(self) -> List[NodeId]:
+        return [nid for nid in self.node_ids if self.hosts[nid].alive]
+
+    # ------------------------------------------------------------------
+    # Group creation conveniences
+    # ------------------------------------------------------------------
+    def create_group(self, root: NodeId, members: Sequence[NodeId]) -> FuseGroup:
+        """Start creating a group rooted at ``root`` and return its
+        handle (asynchronous — drive the kernel to complete it, or use
+        :meth:`create_group_sync`)."""
+        return self.fuse(root).create_group(members)
+
+    def create_group_sync(
+        self,
+        root: NodeId,
+        members: Sequence[NodeId],
+        max_wait_ms: float = 120_000.0,
+    ) -> Tuple[Optional[FuseId], str, float]:
+        """Create a group and drive the kernel until creation completes.
+
+        Subscribes the handle's lifecycle callbacks and runs
+        ``sim.run_until`` until one fires.  Returns (fuse_id or None,
+        status string, creation latency in ms).
+        """
+        outcome: Dict[str, object] = {}
+        started = self.sim.now
+
+        def live(group: FuseGroup) -> None:
+            outcome["fuse_id"] = group.fuse_id
+            outcome["status"] = "ok"
+            outcome["latency"] = self.sim.now - started
+
+        def notified(group: FuseGroup, _reason) -> None:
+            if group.status is not GroupStatus.FAILED_CREATE or "status" in outcome:
+                return
+            outcome["fuse_id"] = None
+            outcome["status"] = group.create_failure_reason or "create-failed"
+            outcome["latency"] = self.sim.now - started
+
+        self.create_group(root, members).on_live(live).on_notified(notified)
+        if not self.sim.run_until(lambda: "status" in outcome, timeout_ms=max_wait_ms):
+            return None, "no-completion", self.sim.now - started
+        return (
+            outcome.get("fuse_id"),  # type: ignore[return-value]
+            str(outcome["status"]),
+            float(outcome["latency"]),  # type: ignore[arg-type]
+        )
+
+    # ------------------------------------------------------------------
+    # Fault conveniences
+    # ------------------------------------------------------------------
+    def crash(self, node_id: NodeId) -> None:
+        self.net.crash_host(node_id)
+
+    def disconnect(self, node_id: NodeId) -> None:
+        self.net.disconnect_host(node_id)
+
+    def restart(self, node_id: NodeId) -> None:
+        """Recover a crashed node and rejoin it into the overlay."""
+        self.net.recover_host(node_id)
+        node = self.overlay_nodes[node_id]
+        if not node.joined:
+            node.join()
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Release backend resources (a simulated world holds none)."""
+
+    def __enter__(self) -> "World":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(nodes={len(self.node_ids)}, "
+            f"t={self.sim.now / 1000.0:.1f}s, members={self.overlay.member_count})"
+        )
+
+
+class FuseWorld(World):
+    """A fully wired simulated FUSE deployment."""
+
+    def __init__(
+        self,
+        n_nodes: int = 400,
+        seed: int = 0,
+        mercator: Optional[MercatorConfig] = None,
+        overlay_config: Optional[OverlayConfig] = None,
+        fuse_config: Optional[FuseConfig] = None,
+        transport: Optional[TransportConfig] = None,
+        trace: bool = False,
+        liveness_lanes: Optional[object] = None,
+    ) -> None:
+        sim = Simulator(seed=seed, trace=trace)
+        self.mercator = mercator or MercatorConfig.scaled_for_hosts(n_nodes)
+        if self.mercator.n_hosts < n_nodes:
+            raise ValueError("mercator config has fewer hosts than requested nodes")
+        topo, host_ids = build_mercator_topology(self.mercator, sim.rng.stream("topology"))
+        self.topology = topo
+        super().__init__(
+            sim, Network(sim, topo, config=transport), host_ids[:n_nodes],
+            overlay_config, fuse_config,
+        )
+
+        # Liveness lanes: the batched fast path for steady-state ping
+        # traffic (repro.sim.lanes).  ``liveness_lanes`` overrides the
+        # REPRO_LIVENESS_LANES environment default ("on").
+        self.lanes_mode = resolve_lanes_mode(liveness_lanes)
+        if self.lanes_mode == "on":
+            plane = LanePlane(self.sim, self.net, self.overlay)
+            self.sim.lane_plane = plane
+            self.overlay.lane_plane = plane
 
     def bootstrap(
         self,
@@ -169,116 +305,3 @@ class FuseWorld:
                 and self.sim.now < deadline
             ):
                 self.sim.run_for(1_000.0)
-
-    def run_for(self, duration_ms: float) -> None:
-        self.sim.run_for(duration_ms)
-
-    def run_for_minutes(self, minutes: float) -> None:
-        self.sim.run_for(minutes * MINUTE_MS)
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-    # ------------------------------------------------------------------
-    # Accessors
-    # ------------------------------------------------------------------
-    def fuse(self, node_id: NodeId) -> FuseService:
-        return self.fuse_services[node_id]
-
-    def host(self, node_id: NodeId) -> Host:
-        return self.hosts[node_id]
-
-    def overlay_node(self, node_id: NodeId) -> OverlayNode:
-        return self.overlay_nodes[node_id]
-
-    def alive_node_ids(self) -> List[NodeId]:
-        return [nid for nid in self.node_ids if self.hosts[nid].alive]
-
-    # ------------------------------------------------------------------
-    # Group creation conveniences
-    # ------------------------------------------------------------------
-    def create_group(self, root: NodeId, members: Sequence[NodeId]) -> FuseGroup:
-        """Start creating a group rooted at ``root`` and return its
-        handle (asynchronous — drive the simulator to complete it, or use
-        :meth:`create_group_sync`)."""
-        return self.fuse(root).create_group(members)
-
-    def create_group_sync(
-        self,
-        root: NodeId,
-        members: Sequence[NodeId],
-        max_wait_ms: float = 120_000.0,
-    ) -> Tuple[Optional[FuseId], str, float]:
-        """Create a group and run the simulator until creation completes.
-
-        Thin shim over :meth:`create_group`: subscribes the handle's
-        lifecycle callbacks and steps the simulator until one fires.
-        Returns (fuse_id or None, status string, creation latency in ms).
-        """
-        outcome: Dict[str, object] = {}
-        started = self.sim.now
-
-        def live(group: FuseGroup) -> None:
-            outcome["fuse_id"] = group.fuse_id
-            outcome["status"] = "ok"
-            outcome["latency"] = self.sim.now - started
-
-        def notified(group: FuseGroup, _reason) -> None:
-            if group.status is not GroupStatus.FAILED_CREATE or "status" in outcome:
-                return
-            outcome["fuse_id"] = None
-            outcome["status"] = group.create_failure_reason or "create-failed"
-            outcome["latency"] = self.sim.now - started
-
-        self.create_group(root, members).on_live(live).on_notified(notified)
-        deadline = started + max_wait_ms
-        while "status" not in outcome and self.sim.now < deadline:
-            if not self.sim.step():
-                break
-        if "status" not in outcome:
-            return None, "no-completion", self.sim.now - started
-        return (
-            outcome.get("fuse_id"),  # type: ignore[return-value]
-            str(outcome["status"]),
-            float(outcome["latency"]),  # type: ignore[arg-type]
-        )
-
-    def crash(self, node_id: NodeId) -> None:
-        self.net.crash_host(node_id)
-
-    def disconnect(self, node_id: NodeId) -> None:
-        self.net.disconnect_host(node_id)
-
-    def restart(self, node_id: NodeId) -> None:
-        """Recover a crashed node and rejoin it into the overlay."""
-        self.net.recover_host(node_id)
-        node = self.overlay_nodes[node_id]
-        if not node.joined:
-            node.join()
-
-    def __repr__(self) -> str:
-        return (
-            f"FuseWorld(nodes={len(self.node_ids)}, t={self.sim.now / 1000.0:.1f}s, "
-            f"members={self.overlay.member_count})"
-        )
-
-
-def make_world(backend: str = "sim", **kwargs):
-    """Build a world on the requested backend with one call.
-
-    ``backend="sim"`` returns a :class:`FuseWorld` on the deterministic
-    simulator; ``backend="live"`` returns a
-    :class:`repro.net.backends.liveworld.LiveWorld` running real asyncio
-    UDP sockets (imported lazily so the simulated path never touches the
-    backend package).  Both accept ``n_nodes``/``seed``/``overlay_config``/
-    ``fuse_config``; backend-specific keywords (``mercator``, ``trace``,
-    ``liveness_lanes`` vs ``time_scale``, ``transport``) pass through.
-    """
-    if backend == "sim":
-        return FuseWorld(**kwargs)
-    if backend == "live":
-        from repro.net.backends.liveworld import LiveWorld
-
-        return LiveWorld(**kwargs)
-    raise ValueError(f"unknown backend {backend!r} (choose 'sim' or 'live')")

@@ -30,7 +30,7 @@ def tiny_world() -> FuseWorld:
     return world
 
 
-def make_world(n_nodes: int, seed: int, **kwargs) -> FuseWorld:
+def bootstrapped_world(n_nodes: int, seed: int, **kwargs) -> FuseWorld:
     """Helper for tests that need custom sizes/configs."""
     mercator = kwargs.pop("mercator", None)
     if mercator is None:

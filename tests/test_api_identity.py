@@ -1,9 +1,9 @@
 """Byte-identical outputs across the group-API redesign.
 
 The first-class group API (``repro.fuse.api``) rewired every consumer of
-``create_group``/``observe_notifications`` — apps, six experiment
-modules, the scenario tracks, ``FuseWorld.create_group_sync`` — onto
-group handles and the world ledger.  These tests prove the rewiring is
+the callback-style group API — apps, six experiment modules, the
+scenario tracks, ``FuseWorld.create_group_sync`` — onto group handles
+and the world ledger.  These tests prove the rewiring is
 observationally invisible: every figure experiment and every built-in
 scenario still produces byte-identical JSON against fixtures generated
 by the pre-refactor tree (``tests/make_api_fixtures.py``).

@@ -9,7 +9,7 @@ from repro.apps.svtree import SVTreeService
 from repro.net import MercatorConfig
 
 
-def make_world(n=24, seed=17):
+def bootstrapped_world(n=24, seed=17):
     world = FuseWorld(n_nodes=n, seed=seed, mercator=MercatorConfig(n_hosts=n, n_as=8))
     world.bootstrap()
     return world
@@ -21,7 +21,7 @@ def attach_svtree(world):
 
 class TestSVTree:
     def test_subscribe_then_publish_delivers(self):
-        world = make_world()
+        world = bootstrapped_world()
         sv = attach_svtree(world)
         got = []
         sv[3].subscribe("news", lambda topic, ev: got.append((3, ev)))
@@ -32,7 +32,7 @@ class TestSVTree:
         assert sorted(got) == [(3, "hello"), (7, "hello")]
 
     def test_no_duplicate_delivery(self):
-        world = make_world()
+        world = bootstrapped_world()
         sv = attach_svtree(world)
         got = []
         for nid in (3, 7, 12, 15):
@@ -43,7 +43,7 @@ class TestSVTree:
         assert sorted(got) == [3, 7, 12, 15]
 
     def test_nonsubscribers_get_nothing(self):
-        world = make_world()
+        world = bootstrapped_world()
         sv = attach_svtree(world)
         got = []
         sv[3].subscribe("only3", lambda t, ev: got.append(3))
@@ -53,7 +53,7 @@ class TestSVTree:
         assert got == [3]
 
     def test_links_are_fuse_guarded(self):
-        world = make_world()
+        world = bootstrapped_world()
         sv = attach_svtree(world)
         sv[3].subscribe("g", lambda t, e: None)
         sv[7].subscribe("g", lambda t, e: None)
@@ -63,7 +63,7 @@ class TestSVTree:
             assert size >= 2
 
     def test_subscriber_recovers_after_parent_crash(self):
-        world = make_world(n=30, seed=23)
+        world = bootstrapped_world(n=30, seed=23)
         sv = attach_svtree(world)
         got = []
         subscribers = [3, 7, 12, 15, 21, 26]
@@ -88,7 +88,7 @@ class TestSVTree:
         assert len(missing) <= 1, f"too many subscribers lost: {missing}"
 
     def test_unsubscribe_signals_groups(self):
-        world = make_world()
+        world = bootstrapped_world()
         sv = attach_svtree(world)
         sv[3].subscribe("bye", lambda t, e: None)
         world.run_for_minutes(1)
@@ -101,7 +101,7 @@ class TestSVTree:
 
 class TestSwim:
     def make_swim(self, n=12, seed=5):
-        world = make_world(n=n, seed=seed)
+        world = bootstrapped_world(n=n, seed=seed)
         cfg = SwimConfig(protocol_period_ms=5_000.0, probe_timeout_ms=2_000.0)
         members = {
             nid: SwimMember(world.host(nid), world.node_ids, cfg) for nid in world.node_ids
@@ -139,7 +139,7 @@ class TestSwim:
 
 class TestCdn:
     def test_place_and_read(self):
-        world = make_world()
+        world = bootstrapped_world()
         origin = CdnOrigin(world.fuse(0))
         replicas = {nid: CdnReplica(world.fuse(nid)) for nid in (4, 8, 12)}
         done = []
@@ -150,7 +150,7 @@ class TestCdn:
             assert replica.get("doc1") == "v1"
 
     def test_update_push(self):
-        world = make_world()
+        world = bootstrapped_world()
         origin = CdnOrigin(world.fuse(0))
         replicas = {nid: CdnReplica(world.fuse(nid)) for nid in (4, 8)}
         origin.place("doc", "v1", [4, 8])
@@ -161,7 +161,7 @@ class TestCdn:
         assert replicas[8].get("doc") == "v2"
 
     def test_replica_failure_invalidates_fate_shared_copies(self):
-        world = make_world()
+        world = bootstrapped_world()
         lost = []
         origin = CdnOrigin(world.fuse(0), on_replicas_lost=lost.append)
         replicas = {nid: CdnReplica(world.fuse(nid)) for nid in (4, 8, 12)}
@@ -176,7 +176,7 @@ class TestCdn:
         assert "doc" in replicas[4].invalidations
 
     def test_origin_can_re_replicate_after_loss(self):
-        world = make_world()
+        world = bootstrapped_world()
         lost = []
         origin = CdnOrigin(world.fuse(0), on_replicas_lost=lost.append)
         CdnReplica(world.fuse(4))
@@ -193,7 +193,7 @@ class TestCdn:
         assert origin.live_documents() == ["doc"]
 
     def test_stale_update_ignored(self):
-        world = make_world()
+        world = bootstrapped_world()
         origin = CdnOrigin(world.fuse(0))
         replica = CdnReplica(world.fuse(4))
         origin.place("doc", "v5", [4])

@@ -103,6 +103,24 @@ class TestClear:
         faults.disconnect(2)
         faults.block_pair(3, 4)
         faults.partition([[5], [6]])
-        faults.clear()
+        faults.clear_all()
         for a, b in [(1, 9), (2, 9), (3, 4), (5, 6)]:
             assert faults.can_communicate(a, b)
+
+
+class TestPublicQuerySurface:
+    def test_no_private_fault_reads_outside_the_faults_module(self):
+        import re
+        from pathlib import Path
+
+        import repro
+
+        src = Path(repro.__file__).resolve().parent
+        offenders = [
+            f"{path.relative_to(src)}:{lineno}"
+            for path in sorted(src.rglob("*.py"))
+            if path != src / "net" / "faults.py"
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"faults\._", line)
+        ]
+        assert not offenders, f"FaultInjector privates read outside net/faults.py: {offenders}"

@@ -18,7 +18,7 @@ from repro.fuse.api import (
 from repro.net import FaultInjector
 from repro.scenarios import Phase, Scenario, execute, execute_with_context
 from repro.scenarios.tracks import AsymmetricPartition, GroupWorkload
-from tests.conftest import make_world
+from tests.conftest import bootstrapped_world
 
 
 def drive_until(world, predicate, max_ms=120_000.0):
@@ -141,7 +141,7 @@ class TestDoubleCountGuard:
         assert ledger.duplicates[0].raw == "link-timeout"
 
     def test_signal_racing_crash_records_one_row_per_member(self):
-        world = make_world(16, seed=21)
+        world = bootstrapped_world(16, seed=21)
         fid, status, _ = world.create_group_sync(0, [5, 9])
         assert status == "ok"
         # Crash one member, then signal at the root in the same instant:
@@ -157,7 +157,7 @@ class TestDoubleCountGuard:
         assert not [d for d in world.ledger.duplicates if d.role != "delegate"]
 
     def test_crash_detection_then_late_signal_is_a_noop(self):
-        world = make_world(16, seed=22)
+        world = bootstrapped_world(16, seed=22)
         fid, status, _ = world.create_group_sync(0, [5, 9])
         assert status == "ok"
         world.crash(9)
@@ -222,7 +222,7 @@ class TestOneWayFaults:
         faults = FaultInjector()
         faults.block_one_way(1, 2)
         faults.block_one_way_sets([3], [4])
-        faults.clear()
+        faults.clear_all()
         assert faults.can_communicate(1, 2)
         assert faults.can_communicate(3, 4)
 
@@ -250,7 +250,7 @@ class TestOneWayFaults:
         """The one-way agreement guarantee under an asymmetric fault:
         a group spanning the A→B cut notifies observable members on
         *both* sides (B times A out; A never sees B's acks)."""
-        world = make_world(16, seed=31)
+        world = bootstrapped_world(16, seed=31)
         # node 0 on side A (low ids), node 12 on side B.
         fid, status, _ = world.create_group_sync(0, [12])
         assert status == "ok"

@@ -2,9 +2,9 @@
 
 The :class:`repro.fuse.api.GroupLedger` refines detection-driven raw
 causes using the fault injector's state at delivery time.  The live world
-hands it a :class:`repro.net.backends.livenet.LiveFaultInjector`, so the
-refinement order (crash → disconnect → gray_fail → false_positive) must
-be byte-for-byte the same logic the simulator exercises — these tests
+hands it the same :class:`repro.net.faults.FaultInjector` the simulator
+uses, so the refinement order (crash → disconnect → gray_fail →
+false_positive) must be byte-for-byte the same logic — these tests
 assert that through real sockets and through the classifier directly.
 """
 
@@ -41,7 +41,6 @@ class TestRefinementOrder:
             assert world.ledger._classify(fid, "link-timeout") is NotificationReason.CRASH
         finally:
             faults.restore(snap)
-            world.net._reopen_endpoint(1)
 
     def test_disconnect_before_gray(self, world):
         fid = self._fresh_group(world, 0, [3, 4])
@@ -76,7 +75,6 @@ class TestRefinementOrder:
             assert world.ledger._classify(fid, "signaled") is NotificationReason.SIGNALLED
         finally:
             faults.restore(snap)
-            world.net._reopen_endpoint(7)
 
 
 class TestEndToEndReasons:

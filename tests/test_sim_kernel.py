@@ -224,3 +224,46 @@ class TestSimulator:
         sim.call_at(3.0, lambda: None, label="hello")
         sim.run()
         assert any("hello" in rec.message for rec in sim.trace)
+
+
+class TestRunUntil:
+    def test_predicate_met(self, sim):
+        hits = []
+        sim.call_at(100.0, lambda: hits.append(1))
+        sim.call_at(500.0, lambda: hits.append(2))
+        assert sim.run_until(lambda: hits, timeout_ms=1_000.0) is True
+        assert sim.now == 100.0  # stops at the event that satisfied it
+
+    def test_deadline(self, sim):
+        def tick():
+            sim.call_after(30.0, tick)
+
+        sim.call_soon(tick)
+        assert sim.run_until(lambda: False, timeout_ms=100.0) is False
+        assert sim.now >= 100.0
+
+    def test_empty_queue(self, sim):
+        assert sim.run_until(lambda: False, timeout_ms=1_000.0) is False
+        assert sim.now == 0.0
+
+    def test_create_dispatches_like_a_step_loop(self, tiny_world):
+        from repro import FuseWorld
+        from repro.fuse.api import GroupStatus
+        from repro.net import MercatorConfig
+
+        twin = FuseWorld(n_nodes=12, seed=11, mercator=MercatorConfig(n_hosts=12, n_as=4))
+        twin.bootstrap()
+        done = []
+        group = twin.create_group(0, [3, 6])
+        group.on_live(done.append).on_notified(
+            lambda g, _r: done.append(g) if g.status is GroupStatus.FAILED_CREATE else None
+        )
+        deadline = twin.sim.now + 120_000.0
+        while not done and twin.sim.now < deadline:
+            if not twin.sim.step():
+                break
+
+        fid, status, _ = tiny_world.create_group_sync(0, [3, 6])
+        assert status == "ok" and done[0].fuse_id == fid
+        assert tiny_world.sim.events_dispatched == twin.sim.events_dispatched
+        assert tiny_world.now == twin.now

@@ -8,7 +8,7 @@ from repro.apps.svtree.service import topic_root_name
 from repro.net import MercatorConfig
 
 
-def make_world(n=24, seed=31):
+def svtree_world(n=24, seed=31):
     world = FuseWorld(n_nodes=n, seed=seed, mercator=MercatorConfig(n_hosts=n, n_as=8))
     world.bootstrap()
     return {nid: SVTreeService(world.fuse(nid)) for nid in world.node_ids}, world
@@ -20,7 +20,7 @@ class TestTopicRootPlacement:
         assert topic_root_name("news") != topic_root_name("sports")
 
     def test_all_publishes_converge_on_one_root(self):
-        sv, world = make_world()
+        sv, world = svtree_world()
         terminals = set()
         for src in (0, 5, 11, 17):
             path = world.overlay.overlay_route(
@@ -34,7 +34,7 @@ class TestVersionStamps:
     def test_late_failure_notification_ignored_after_resubscribe(self):
         """The paper's §3.3 race: version stamps stop a stale notification
         from tearing down a fresh link."""
-        sv, world = make_world()
+        sv, world = svtree_world()
         sv[3].subscribe("race", lambda t, e: None)
         world.run_for_minutes(1)
         state = sv[3].topics["race"]
@@ -46,7 +46,7 @@ class TestVersionStamps:
         assert sv[3].topics["race"].version == old_version + 1  # untouched
 
     def test_stale_ack_ignored(self):
-        sv, world = make_world()
+        sv, world = svtree_world()
         sv[3].subscribe("stale", lambda t, e: None)
         world.run_for_minutes(1)
         state = sv[3].topics["stale"]
@@ -63,7 +63,7 @@ class TestInterception:
     def test_join_consumed_by_first_on_tree_node(self):
         """A second subscriber whose route crosses an existing subscriber
         attaches there, not at the root (the SV short-circuit)."""
-        sv, world = make_world(n=30, seed=33)
+        sv, world = svtree_world(n=30, seed=33)
         # Find a pair (s1, s2) where s2's route to the topic root passes
         # through s1.
         topic = "short"
@@ -90,14 +90,14 @@ class TestInterception:
         assert sv[s2].topics[topic].parent == s1
 
     def test_join_path_accumulates_bypassed_hops(self):
-        sv, world = make_world()
+        sv, world = svtree_world()
         join = SubscribeJoin("t", subscriber=0, version=1)
         assert join.path == []
 
 
 class TestDeliverySemantics:
     def test_publisher_can_also_subscribe(self):
-        sv, world = make_world()
+        sv, world = svtree_world()
         got = []
         sv[4].subscribe("self", lambda t, e: got.append(e))
         world.run_for_minutes(1)
@@ -106,7 +106,7 @@ class TestDeliverySemantics:
         assert got == ["own-event"]
 
     def test_two_topics_do_not_interfere(self):
-        sv, world = make_world()
+        sv, world = svtree_world()
         got = []
         sv[3].subscribe("a", lambda t, e: got.append(("a", e)))
         sv[3].subscribe("b", lambda t, e: got.append(("b", e)))

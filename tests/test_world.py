@@ -1,35 +1,84 @@
-"""Tests for the FuseWorld assembly helper."""
+"""The World surface, written once and run on both backends.
+
+``TestFuseWorld`` drives the simulator; ``TestLiveWorld`` runs the same
+tests over real UDP sockets under heavy time compression (a virtual
+minute in about 0.12 wall seconds).  Backend-only behaviour stays in its
+own class: determinism and the Mercator check here, the socket-level
+tests in ``tests/test_live_world.py``.
+"""
 
 import pytest
 
 from repro import FuseWorld
 from repro.net import MercatorConfig
+from repro.net.backends.liveworld import LiveWorld
+
+LIVE_SCALE = 0.002
 
 
-class TestFuseWorld:
-    def test_bootstrap_joins_everyone(self, tiny_world):
-        assert tiny_world.overlay.member_count == len(tiny_world.node_ids)
+class _WorldSurface:
+    """Tests of :class:`repro.world.World`; subclasses supply ``world``."""
+
+    def test_bootstrap_joins_everyone(self, world):
+        assert world.overlay.member_count == len(world.node_ids)
+
+    def test_create_group_sync_reports_latency(self, world):
+        fid, status, latency = world.create_group_sync(0, [1])
+        assert status == "ok"
+        assert latency > 0
+
+    def test_create_group_sync_failure_path(self, world):
+        world.disconnect(5)
+        fid, status, latency = world.create_group_sync(0, [5])
+        assert fid is None
+        assert "unreachable" in status
+        assert latency > 0
+
+    def test_bootstrap_and_group_lifecycle(self, world):
+        fid, status, latency = world.create_group_sync(0, [1, 2])
+        assert status == "ok" and fid is not None
+        assert fid.startswith("fuse-node-00000-")
+        assert latency > 0.0
+        assert world.sim.metrics.counter("net.deliveries").value > 0
+
+    def test_crash_delivers_notifications_to_survivors(self, world):
+        fid, status, _ = world.create_group_sync(0, [1, 2])
+        assert status == "ok"
+        world.crash(1)
+        world.sim.run_until(
+            lambda: len(world.ledger.member_notes(fid)) >= 2,
+            timeout_ms=5 * 60_000.0,
+        )
+        notified = {rec.node for rec in world.ledger.member_notes(fid)}
+        # One-way agreement: every surviving member hears about it.
+        assert {0, 2} <= notified
+
+    def test_restart_rejoins(self, world):
+        world.crash(3)
+        world.run_for_minutes(4)
+        world.restart(3)
+        name = world.overlay_node(3).name
+        assert world.sim.run_until(lambda: world.overlay.is_member(name), timeout_ms=3 * 60_000.0)
+
+    def test_alive_node_ids(self, world):
+        world.crash(5)
+        assert 5 not in world.alive_node_ids()
+        assert len(world.alive_node_ids()) == len(world.node_ids) - 1
+
+    def test_close_is_idempotent(self, world):
+        with world:
+            world.close()
+        world.close()
+
+
+class TestFuseWorld(_WorldSurface):
+    @pytest.fixture
+    def world(self, tiny_world):
+        return tiny_world
 
     def test_mercator_must_cover_nodes(self):
         with pytest.raises(ValueError):
             FuseWorld(n_nodes=50, mercator=MercatorConfig(n_hosts=10, n_as=4))
-
-    def test_create_group_sync_reports_latency(self, tiny_world):
-        fid, status, latency = tiny_world.create_group_sync(0, [1])
-        assert status == "ok"
-        assert latency > 0
-
-    def test_restart_rejoins(self, tiny_world):
-        tiny_world.crash(3)
-        tiny_world.run_for_minutes(4)
-        tiny_world.restart(3)
-        tiny_world.run_for_minutes(2)
-        assert tiny_world.overlay.is_member(tiny_world.overlay_node(3).name)
-
-    def test_alive_node_ids(self, tiny_world):
-        tiny_world.crash(5)
-        assert 5 not in tiny_world.alive_node_ids()
-        assert len(tiny_world.alive_node_ids()) == len(tiny_world.node_ids) - 1
 
     def test_deterministic_given_seed(self):
         def run(seed):
@@ -40,7 +89,15 @@ class TestFuseWorld:
 
         assert run(9) == run(9)
 
-    def test_run_for_minutes_advances_clock(self, tiny_world):
-        start = tiny_world.now
-        tiny_world.run_for_minutes(2)
-        assert tiny_world.now == start + 120_000.0
+    def test_run_for_minutes_advances_clock(self, world):
+        start = world.now
+        world.run_for_minutes(2)
+        assert world.now == start + 120_000.0
+
+
+class TestLiveWorld(_WorldSurface):
+    @pytest.fixture
+    def world(self):
+        with LiveWorld(n_nodes=6, seed=11, time_scale=LIVE_SCALE) as world:
+            world.bootstrap(settle_ms=2_000.0)
+            yield world
