@@ -6,12 +6,12 @@ runs in seconds and a ``paper_scale()`` preset matching the paper's
 parameters), a module-level trial function plus ``sweep()`` declaration
 for the shared trial engine (:mod:`repro.engine`), and a
 ``run(config, *, jobs=1, seeds=None)`` function returning a result
-object with ``rows()``, ``format_table()``, and a ``result_set``
+object with ``rows()``, ``format_table()``, the paper's ``claims`` about
+it (:class:`repro.experiments.report.Claim`), and a ``result_set``
 (:class:`repro.engine.ResultSet`) for JSON archiving.  ``jobs`` fans the
 sweep's independent trials across worker processes with aggregate
-results identical to a serial run.  The benchmarks/ directory wraps each
-driver in a pytest-benchmark target; EXPERIMENTS.md records the
-paper-vs-measured comparison.
+results identical to a serial run.  docs/FIGURES.md records every
+figure's paper-vs-measured comparison and claim verdicts.
 
 | Paper result | Module |
 |---|---|

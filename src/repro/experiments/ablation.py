@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import format_table
+from repro.experiments.report import Claim, format_table
 from repro.fuse.api import GroupLedger
 from repro.fuse.config import FuseConfig
 from repro.fuse.topologies import (
@@ -54,24 +54,40 @@ class TopologyAblationConfig:
 
 
 class TopologyAblationResult:
+    claims = (
+        Claim("the overlay's load is flat in group count: growth under 1.3x",
+              lambda r: r.growth("overlay (paper)") < 1.3),
+        Claim("direct trees and all-to-all grow with group count: both over 1.5x",
+              lambda r: r.growth("all-to-all") > 1.5 and r.growth("direct-tree") > 1.5),
+        Claim("all-to-all costs more than direct trees at the most groups",
+              lambda r: r.load[("all-to-all", r.counts[-1])]
+              > r.load[("direct-tree", r.counts[-1])]),
+    )
+
     def __init__(self) -> None:
         # (topology, n_groups) -> msgs/sec
         self.load: Dict[Tuple[str, int], float] = {}
         self.result_set: Optional[ResultSet] = None
 
+    @property
+    def counts(self) -> List[int]:
+        return sorted({c for _, c in self.load})
+
+    def growth(self, topology: str) -> float:
+        """Load at the most groups over load at the fewest."""
+        low, high = self.counts[0], self.counts[-1]
+        return self.load[(topology, high)] / max(self.load[(topology, low)], 1e-9)
+
     def rows(self) -> List[Tuple]:
-        topologies = sorted({t for t, _ in self.load})
-        counts = sorted({c for _, c in self.load})
         out = []
-        for topology in topologies:
-            row = [topology] + [round(self.load.get((topology, c), 0.0), 1) for c in counts]
+        for topology in sorted({t for t, _ in self.load}):
+            row = [topology] + [round(self.load.get((topology, c), 0.0), 1) for c in self.counts]
             out.append(tuple(row))
         return out
 
     def format_table(self) -> str:
-        counts = sorted({c for _, c in self.load})
         return format_table(
-            ["topology"] + [f"{c} groups msg/s" for c in counts],
+            ["topology"] + [f"{c} groups msg/s" for c in self.counts],
             self.rows(),
             title="§5.1 ablation — steady-state load vs group count "
             "(overlay: flat; direct/all-to-all: grows; all-to-all fastest growth)",
@@ -183,6 +199,13 @@ class RepairAblationConfig:
 
 
 class RepairAblationResult:
+    claims = (
+        Claim("with repair, delegate churn causes no false positives",
+              lambda r: r.false_positives["repair-enabled"] == 0),
+        Claim("without repair, delegate churn causes at least one false positive",
+              lambda r: r.false_positives["repair-disabled"] >= 1),
+    )
+
     def __init__(self) -> None:
         self.false_positives: Dict[str, int] = {}
         self.groups: Dict[str, int] = {}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import format_table
+from repro.experiments.report import Claim, format_table
 from repro.sim.metrics import Histogram
 from repro.world import FuseWorld
 
@@ -39,6 +39,14 @@ class AgreementConfig:
 
 
 class AgreementResult:
+    claims = (
+        Claim("the fault schedule affects some groups", lambda r: r.groups_affected > 0),
+        Claim("every live member of an affected group is notified", lambda r: r.missed == []),
+        Claim("no member hears a notification twice", lambda r: r.duplicates == []),
+        Claim("the worst latency is within the analytic bound",
+              lambda r: not len(r.notifications) or r.notifications.max() <= r.bound_minutes),
+    )
+
     def __init__(self, bound_minutes: float) -> None:
         self.bound_minutes = bound_minutes
         self.groups_affected = 0
@@ -46,10 +54,6 @@ class AgreementResult:
         self.missed: List[Tuple[str, int]] = []
         self.duplicates: List[Tuple[str, int]] = []
         self.result_set: Optional[ResultSet] = None
-
-    @property
-    def agreement_holds(self) -> bool:
-        return not self.missed and not self.duplicates
 
     def rows(self) -> List[Tuple]:
         rows = [

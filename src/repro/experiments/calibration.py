@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import format_cdf, format_table
+from repro.experiments.report import Claim, format_cdf, format_table
 from repro.net import MercatorConfig, Network, build_mercator_topology
 from repro.net.node import Host, RpcReply, RpcRequest
 from repro.sim import CdfSeries, Simulator
@@ -51,6 +51,16 @@ class CalibrationConfig:
 
 
 class CalibrationResult:
+    claims = (
+        Claim("the second RPC tracks the topology RTT: median within 1.5x",
+              lambda r: r.second.value_at_fraction(0.5) <= 1.5 * r.rtt.value_at_fraction(0.5)),
+        Claim("the first RPC pays about one more round trip: median 1.5x-3.5x the second's",
+              lambda r: 1.5 * r.second.value_at_fraction(0.5) <= r.first.value_at_fraction(0.5)
+              <= 3.5 * r.second.value_at_fraction(0.5)),
+        Claim("the median RTT is in the paper's regime: 60-400 ms",
+              lambda r: 60.0 <= r.rtt.value_at_fraction(0.5) <= 400.0),
+    )
+
     def __init__(self, first: CdfSeries, second: CdfSeries, rtt: CdfSeries) -> None:
         self.first = first
         self.second = second

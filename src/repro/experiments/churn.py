@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import format_table
+from repro.experiments.report import Claim, format_table
 from repro.scenarios import execute, fig10_scenario
 
 EXPERIMENT = "fig10"
@@ -57,6 +57,13 @@ class ChurnConfig:
 
 
 class ChurnResult:
+    claims = (
+        Claim("churn adds overlay load", lambda r: r.churn_msgs_per_sec > r.stable_msgs_per_sec),
+        Claim("FUSE groups under churn add more than 15% (tree reinstallation)",
+              lambda r: r.churn_fuse_msgs_per_sec > 1.15 * r.churn_msgs_per_sec),
+        Claim("churn causes no false positives", lambda r: r.false_positives == 0),
+    )
+
     def __init__(self) -> None:
         self.stable_msgs_per_sec: float = 0.0
         self.churn_msgs_per_sec: float = 0.0

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import format_cdf, format_table
+from repro.experiments.report import Claim, format_cdf, format_table
 from repro.scenarios import execute, fig9_scenario
 from repro.sim import CdfSeries
 
@@ -53,6 +53,16 @@ class CrashConfig:
 
 
 class CrashResult:
+    claims = (
+        Claim("the disconnects affect some groups", lambda r: r.groups_affected > 0),
+        Claim("every live member of every affected group is notified",
+              lambda r: r.notifications_delivered == r.notifications_expected),
+        Claim("every notification lands within 6 minutes (detection + repair timeouts)",
+              lambda r: r.latency.value_at_fraction(1.0) <= 6.0),
+        Claim("detection is timeout-driven, not instant: p25 >= 0.1 minutes",
+              lambda r: r.latency.value_at_fraction(0.25) >= 0.1),
+    )
+
     def __init__(self) -> None:
         self.latency = CdfSeries("crash-notification-minutes")
         self.groups_created = 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import format_table
+from repro.experiments.report import Claim, format_table
 from repro.sim.metrics import Histogram
 from repro.world import FuseWorld
 
@@ -38,6 +38,17 @@ class CreationConfig:
 
 
 class CreationResult:
+    claims = (
+        Claim("every group creates", lambda r: r.failures == 0),
+        Claim("size-32 groups create slower than pairs (median)",
+              lambda r: r.by_size[32].pct(50) > r.by_size[2].pct(50)),
+        Claim("creation is RPC-scale: every size's median is under 10 s",
+              lambda r: all(h.pct(50) < 10_000.0 for h in r.by_size.values())),
+        Claim("quartiles converge by size 32: p75 - p25 <= 0.6 x median + 100 ms",
+              lambda r: r.by_size[32].pct(75) - r.by_size[32].pct(25)
+              <= 0.6 * r.by_size[32].pct(50) + 100.0),
+    )
+
     def __init__(self) -> None:
         self.by_size: Dict[int, Histogram] = {}
         self.failures: int = 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import format_table
+from repro.experiments.report import Claim, format_table
 from repro.world import FuseWorld
 
 EXPERIMENT = "fig12"
@@ -43,6 +43,17 @@ class FalsePositivesConfig:
 
 
 class FalsePositivesResult:
+    claims = (
+        Claim("no group fails without loss",
+              lambda r: all(r.failure_pct(0.0, s) == 0.0 for s in r.sizes)),
+        Claim("no group fails at 0.4% per-link loss: the transport masks the drops",
+              lambda r: all(r.failure_pct(0.004, s) == 0.0 for s in r.sizes)),
+        Claim("1.6% per-link loss breaks some groups",
+              lambda r: max(r.failure_pct(0.016, s) for s in r.sizes) > 0.0),
+        Claim("at 1.6% per-link loss the largest groups fail at least as often as pairs",
+              lambda r: r.failure_pct(0.016, max(r.sizes)) >= r.failure_pct(0.016, 2)),
+    )
+
     def __init__(self) -> None:
         # per (per_link_loss, size): (groups_failed, groups_total)
         self.outcomes: Dict[Tuple[float, int], Tuple[int, int]] = {}
@@ -53,22 +64,24 @@ class FalsePositivesResult:
         failed, total = self.outcomes.get((per_link, size), (0, 0))
         return 100.0 * failed / total if total else 0.0
 
+    @property
+    def sizes(self) -> List[int]:
+        return sorted({size for (_pl, size) in self.outcomes})
+
     def rows(self) -> List[Tuple]:
-        sizes = sorted({size for (_pl, size) in self.outcomes})
         out = []
         for per_link in sorted({pl for (pl, _s) in self.outcomes}):
             row = [
                 f"{per_link * 100:.1f}%",
                 f"{100 * self.median_route_loss.get(per_link, 0):.1f}%",
             ]
-            row.extend(round(self.failure_pct(per_link, s), 1) for s in sizes)
+            row.extend(round(self.failure_pct(per_link, s), 1) for s in self.sizes)
             out.append(tuple(row))
         return out
 
     def format_table(self) -> str:
-        sizes = sorted({size for (_pl, size) in self.outcomes})
         return format_table(
-            ["per-link", "median route"] + [f"size {s} fail%" for s in sizes],
+            ["per-link", "median route"] + [f"size {s} fail%" for s in self.sizes],
             self.rows(),
             title="Fig 12 — group failures due to packet loss "
             "(paper: none at 0/5.8% median route loss, some at 11.4/21.5%)",

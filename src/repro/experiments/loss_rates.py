@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import format_cdf, format_table
+from repro.experiments.report import Claim, format_cdf, format_table
 from repro.net import MercatorConfig, Network, build_mercator_topology
 from repro.sim import CdfSeries, Simulator
 
@@ -40,6 +40,17 @@ class LossRatesConfig:
 
 
 class LossRatesResult:
+    claims = (
+        Claim("0.4% per-link loss gives a median route loss of 5.8% +/- 2.5 points",
+              lambda r: abs(r.route_loss[0.004].value_at_fraction(0.5) - 0.058) <= 0.025),
+        Claim("0.8% per-link loss gives a median route loss of 11.4% +/- 4 points",
+              lambda r: abs(r.route_loss[0.008].value_at_fraction(0.5) - 0.114) <= 0.04),
+        Claim("1.6% per-link loss gives a median route loss of 21.5% +/- 7 points",
+              lambda r: abs(r.route_loss[0.016].value_at_fraction(0.5) - 0.215) <= 0.07),
+        Claim("the median route is 8-22 hops, the paper's regime",
+              lambda r: 8 <= r.hop_counts.value_at_fraction(0.5) <= 22),
+    )
+
     def __init__(self) -> None:
         self.route_loss: Dict[float, CdfSeries] = {}
         self.hop_counts = CdfSeries("hops")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import format_table
+from repro.experiments.report import Claim, format_table
 from repro.sim.metrics import Histogram
 from repro.world import FuseWorld
 
@@ -40,12 +40,23 @@ class NotificationConfig:
 
 
 class NotificationResult:
+    claims = (
+        Claim("every group size hears its notifications",
+              lambda r: all(h.count > 0 for h in r.group_latency.values())),
+        Claim("every group is fully notified within 30 s, well under the liveness timeout",
+              lambda r: all(h.max() < 30_000.0 for h in r.group_latency.values())),
+        Claim("notification beats creation: member median under Fig 7's at sizes 8, 16 and 32",
+              lambda r, fig7: all(r.member_latency[s].pct(50) < fig7.by_size[s].pct(50)
+                                  for s in (8, 16, 32)), needs="fig7"),
+        Claim("pairs are no slower than size-8 groups (member median, 1.5x slack)",
+              lambda r: r.member_latency[2].pct(50) <= r.member_latency[8].pct(50) * 1.5),
+    )
+
     def __init__(self) -> None:
         # Latency until the LAST member hears (per group).
         self.group_latency: Dict[int, Histogram] = {}
         # Latency of each individual member notification.
         self.member_latency: Dict[int, Histogram] = {}
-        self.max_observed_ms: float = 0.0
         self.result_set: Optional[ResultSet] = None
 
     def rows(self) -> List[Tuple]:
@@ -125,7 +136,5 @@ def run(
     for size, subset in rs.group_by("group_size").items():
         result.group_latency[size] = subset.histogram("group_ms", f"group-{size}")
         result.member_latency[size] = subset.histogram("member_ms", f"member-{size}")
-    group_samples = rs.samples("group_ms")
-    result.max_observed_ms = max(group_samples) if group_samples else 0.0
     result.result_set = rs
     return result

@@ -1,13 +1,35 @@
-"""Plain-text rendering of experiment results.
+"""Plain-text rendering of experiment results, and the paper's claims.
 
-The paper's figures are bar charts and CDFs; benchmark runs print them as
-aligned text tables / (value, fraction) series so results live in the
-pytest output and EXPERIMENTS.md without a plotting dependency.
+The paper's figures are bar charts and CDFs; ``experiments.run`` prints
+them as aligned text tables / (value, fraction) series, with a PASS/FAIL
+line per paper claim, so results live in the terminal and docs/FIGURES.md.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+
+@dataclass(frozen=True)
+class Claim:
+    """A paper claim: a sentence and a predicate over a result (and ``needs``'s result)."""
+
+    text: str
+    holds: Callable[..., bool]
+    needs: str = ""
+
+
+def format_report(result, others: Optional[Mapping[str, object]] = None) -> str:
+    """The table, then a verdict per claim; ``others`` maps names to results."""
+    lines = [result.format_table()]
+    for claim in result.claims:
+        if claim.needs and claim.needs not in (others or {}):
+            lines.append(f"n/a   {claim.text} (needs {claim.needs}: run 'all')")
+            continue
+        extra = (others[claim.needs],) if claim.needs else ()
+        lines.append(f"{'PASS' if claim.holds(result, *extra) else 'FAIL'}  {claim.text}")
+    return "\n".join(lines)
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = "") -> str:

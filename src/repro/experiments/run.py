@@ -12,6 +12,7 @@ Every experiment runs through the shared trial engine
 worker processes (aggregate results are seed-for-seed identical to
 ``--jobs 1``), ``--seeds`` replicates the sweep over extra base seeds,
 and ``--json`` / ``--out`` archive machine-readable per-trial results.
+Each table ends with a PASS/FAIL line per paper claim (see docs/FIGURES.md).
 
 ``--paper-scale`` uses the paper's parameters (400 nodes; 16,000 for the
 §4 simulation) and can take minutes; the default scaled-down configs run
@@ -29,7 +30,7 @@ import dataclasses
 import json
 import pathlib
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.net.backends.wallclock import wall_seconds
 from repro.experiments import (
@@ -45,6 +46,7 @@ from repro.experiments import (
     steady_state,
     svtree_stats,
 )
+from repro.experiments.report import format_report
 
 # name -> (module.run, default config factory, paper-scale config factory)
 EXPERIMENTS: Dict[str, Tuple[Callable, Callable, Callable]] = {
@@ -118,6 +120,7 @@ def run_one(
     jobs: int = 1,
     seeds: Optional[List[int]] = None,
     as_json: bool = False,
+    others: Optional[Mapping[str, object]] = None,
 ) -> Tuple[str, object]:
     """Run one experiment; returns (rendered output, result object)."""
     runner, default_cfg, paper_cfg = EXPERIMENTS[name]
@@ -133,7 +136,7 @@ def run_one(
         rendered = json.dumps(payload, indent=2, sort_keys=True, default=str)
     else:
         rendered = (
-            result.format_table()
+            format_report(result, others)
             + f"\n[{name}: {elapsed:.1f}s wall clock, jobs={jobs}, "
             f"{len(result.result_set)} trials]"
         )
@@ -197,9 +200,10 @@ def main(argv=None) -> int:
                 out_file.parent.mkdir(parents=True, exist_ok=True)
 
     suffix = "json" if args.json else "txt"
+    results: Dict[str, object] = {}
     for name in names:
-        rendered, _result = run_one(
-            name, args.paper_scale, jobs=jobs, seeds=seeds, as_json=args.json
+        rendered, results[name] = run_one(
+            name, args.paper_scale, jobs=jobs, seeds=seeds, as_json=args.json, others=results
         )
         # Archive before printing: a closed stdout pipe (| head, | less)
         # must not lose the --out artifact to BrokenPipeError.

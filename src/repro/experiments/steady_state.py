@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import format_table
+from repro.experiments.report import Claim, format_table
 from repro.world import FuseWorld
 
 EXPERIMENT = "steady-state"
@@ -40,12 +40,21 @@ class SteadyStateConfig:
 
 
 class SteadyStateResult:
+    claims = (
+        Claim("every group is created", lambda r: r.groups_created == r.groups_requested),
+        Claim("FUSE groups add no messages: overhead within 1.5% (paper: +0.3%)",
+              lambda r: abs(r.message_overhead_pct) <= 1.5),
+        Claim("bytes/s with groups are at least 99% of overlay-only (the hash may add some)",
+              lambda r: r.bytes_per_sec_with >= r.bytes_per_sec_without * 0.99),
+    )
+
     def __init__(self) -> None:
         self.msgs_per_sec_without: float = 0.0
         self.msgs_per_sec_with: float = 0.0
         self.bytes_per_sec_without: float = 0.0
         self.bytes_per_sec_with: float = 0.0
         self.groups_created: int = 0
+        self.groups_requested: int = 0
         self.result_set: Optional[ResultSet] = None
 
     @property
@@ -124,5 +133,6 @@ def run(
     result.msgs_per_sec_with = with_groups.mean("msgs_per_sec")
     result.bytes_per_sec_with = with_groups.mean("bytes_per_sec")
     result.groups_created = int(rs.total("groups_created"))
+    result.groups_requested = config.n_groups * len(with_groups)
     result.result_set = rs
     return result

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.apps.svtree import SVTreeService
 from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import format_table
+from repro.experiments.report import Claim, format_table
 from repro.sim.metrics import Histogram
 from repro.world import FuseWorld
 
@@ -39,6 +39,13 @@ class SvtreeStatsConfig:
 
 
 class SvtreeStatsResult:
+    claims = (
+        Claim("the workload creates FUSE groups", lambda r: len(r.sizes) > 0),
+        Claim("groups are small: mean under 7 (paper: 2.9)", lambda r: r.sizes.mean() < 7.0),
+        Claim("no runaway groups: max at most 16 (paper: 13)", lambda r: r.sizes.max() <= 16),
+        Claim("the smallest group is the two link endpoints", lambda r: r.sizes.min() >= 2),
+    )
+
     def __init__(self) -> None:
         self.sizes = Histogram("svtree-group-sizes")
         self.subscriptions = 0

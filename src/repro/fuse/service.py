@@ -288,11 +288,7 @@ class FuseService:
         if state.is_root:
             self._root_hard_fail(state, "signaled", exclude=None)
         else:
-            self._send_control(
-                state.root_id,
-                state.root_name,
-                HardNotification(fuse_id, "signaled"),
-            )
+            self._send_control(state.root_id, HardNotification(fuse_id, "signaled"))
             self._soft_notify_links(state, exclude=None)
             self._fail_group(state, "signaled")
 
@@ -655,9 +651,7 @@ class FuseService:
                 self._root_hard_fail(state, f"no-repair:{reason}", exclude=None)
             else:
                 self._send_control(
-                    state.root_id,
-                    state.root_name,
-                    HardNotification(state.fuse_id, f"no-repair:{reason}"),
+                    state.root_id, HardNotification(state.fuse_id, f"no-repair:{reason}")
                 )
                 self._soft_notify_links(state, exclude)
                 self._fail_group(state, f"no-repair:{reason}")
@@ -687,9 +681,7 @@ class FuseService:
     def _member_request_repair(self, state: GroupState) -> None:
         if state.need_repair_timer is not None and state.need_repair_timer.active:
             return  # repair request already outstanding
-        self._send_control(
-            state.root_id, state.root_name, NeedRepair(state.fuse_id, state.seq)
-        )
+        self._send_control(state.root_id, NeedRepair(state.fuse_id, state.seq))
         state.need_repair_timer = self.host.call_after(
             self.config.member_repair_timeout_ms,
             lambda fuse_id=state.fuse_id: self._on_member_repair_timeout(fuse_id),
@@ -701,11 +693,7 @@ class FuseService:
         if state is None:
             return
         # Never heard back from the root: give up and notify (§6.5).
-        self._send_control(
-            state.root_id,
-            state.root_name,
-            HardNotification(fuse_id, "member-repair-timeout"),
-        )
+        self._send_control(state.root_id, HardNotification(fuse_id, "member-repair-timeout"))
         self._soft_notify_links(state, exclude=None)
         self._fail_group(state, "member-repair-timeout")
 
@@ -823,9 +811,7 @@ class FuseService:
         for member in state.member_ids:
             if member == exclude:
                 continue
-            self._send_control(
-                member, self._name_of(member), HardNotification(state.fuse_id, reason)
-            )
+            self._send_control(member, HardNotification(state.fuse_id, reason))
         self._soft_notify_links(state, exclude=None)
         self._fail_group(state, reason)
 
@@ -858,16 +844,13 @@ class FuseService:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _send_control(self, dst_id: NodeId, dst_name: str, msg: Message, on_fail=None) -> None:
-        """Root<->member control traffic: direct (paper default) or routed
-        through the overlay (paper §5 ablation; see FuseConfig.direct_root_member)."""
+    def _send_control(self, dst_id: NodeId, msg: Message) -> None:
+        """Root<->member control traffic travels directly between root and
+        members, not along overlay routes (§6 intro)."""
         if dst_id == self.host.node_id:
             self.sim.schedule_soon(lambda: self.host.deliver(self._stamp_self(msg)))
             return
-        if self.config.direct_root_member:
-            self.host.send(dst_id, msg, on_fail=on_fail)
-        else:
-            self.overlay.route(dst_name, msg)
+        self.host.send(dst_id, msg)
 
     def _stamp_self(self, msg: Message):
         stamped = copy.copy(msg)

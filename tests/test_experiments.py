@@ -1,9 +1,9 @@
-"""Smoke tests for the experiment drivers and report formatting.
+"""Report formatting, and each driver run end to end at a tiny scale.
 
-The benchmarks run the drivers at realistic scale and assert the paper's
-shapes; these tests only check that each driver runs end to end at a tiny
-scale and produces well-formed results — so a refactor that breaks a
-driver fails fast in the unit suite.
+tests/test_figures.py runs every driver at its default config and judges the
+paper's claims; these tests only check that each driver also runs at a tiny,
+non-default config and produces well-formed results, so a refactor that
+breaks a driver fails fast in the unit suite.
 """
 
 from repro.experiments import (
@@ -62,7 +62,7 @@ class TestDriversSmoke:
                 n_nodes=20, group_sizes=(2, 4), groups_per_size=2
             )
         )
-        assert result.max_observed_ms > 0
+        assert max(h.max() for h in result.group_latency.values()) > 0
         assert "Fig 8" in result.format_table()
 
     def test_loss_rates(self):
@@ -89,7 +89,7 @@ class TestDriversSmoke:
         result = agreement.run(
             agreement.AgreementConfig(n_nodes=20, n_groups=5, n_faults=3, observe_minutes=12)
         )
-        assert result.agreement_holds
+        assert result.missed == [] and result.duplicates == []
         assert "§3" in result.format_table()
 
     def test_paper_scale_presets_exist(self):

@@ -27,7 +27,7 @@ class TestFuseConfig:
         assert cfg.repair_backoff_cap_ms == 40_000.0   # §6.5
         assert cfg.member_repair_timeout_ms == 60_000.0   # §7.4
         assert cfg.root_repair_timeout_ms == 120_000.0    # §7.4
-        assert cfg.repair_enabled and cfg.blocking_create and cfg.direct_root_member
+        assert cfg.repair_enabled and cfg.blocking_create
 
     def test_validation(self):
         with pytest.raises(ValueError):
