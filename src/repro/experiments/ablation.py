@@ -26,13 +26,7 @@ from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
 from repro.experiments.report import Claim, format_table
 from repro.fuse.api import GroupLedger
 from repro.fuse.config import FuseConfig
-from repro.fuse.topologies import (
-    AllToAllFuse,
-    CentralServer,
-    CentralServerFuse,
-    DirectTreeFuse,
-    TopologyConfig,
-)
+from repro.fuse.topologies import ALL_TO_ALL, DIRECT_TREE, DirectLinkFuse, central
 from repro.net import MercatorConfig, Network, build_mercator_topology
 from repro.net.node import Host
 from repro.sim import Simulator
@@ -109,31 +103,26 @@ def _run_overlay(n_nodes: int, n_groups: int, group_size: int,
     return world.sim.metrics.counter("net.messages").rate_per_second(window_ms)
 
 
-def _run_alternative(kind: str, n_nodes: int, n_groups: int, group_size: int,
-                     window_ms: float, seed: int) -> float:
+def alternative_deployment(kind: str, n_nodes: int, n_groups: int, group_size: int,
+                           seed: int) -> Tuple[Simulator, GroupLedger]:
+    """``n_nodes`` hosts plus one spare (the central server) running one
+    §5.1 alternative, with ``n_groups`` random groups created one at a
+    time.  Returns once the last create has finished."""
     sim = Simulator(seed=seed)
     topo, host_ids = build_mercator_topology(
         MercatorConfig.scaled_for_hosts(n_nodes + 1), sim.rng.stream("topology")
     )
     net = Network(sim, topo)
     hosts = [Host(net, h) for h in host_ids[: n_nodes + 1]]
-    cfg = TopologyConfig()
+    topology = {"direct-tree": DIRECT_TREE, "all-to-all": ALL_TO_ALL}.get(kind)
+    topology = topology or central(hosts[-1].node_id)
     # One ledger per deployment (as FuseWorld does) so handles see every
     # member's notifications, not just the local node's.
     ledger = GroupLedger(sim, net.faults)
-    if kind == "central":
-        CentralServer(hosts[-1], cfg)
-        services = [
-            CentralServerFuse(h, hosts[-1].node_id, cfg, ledger=ledger)
-            for h in hosts[:-1]
-        ]
-    elif kind == "direct-tree":
-        services = [DirectTreeFuse(h, cfg, ledger=ledger) for h in hosts[:-1]]
-    else:
-        services = [AllToAllFuse(h, cfg, ledger=ledger) for h in hosts[:-1]]
+    services = [DirectLinkFuse(h, topology, ledger=ledger) for h in hosts]
     rng = sim.rng.stream("ablation-groups")
     for _ in range(n_groups):
-        indices = rng.sample(range(len(services)), group_size)
+        indices = rng.sample(range(n_nodes), group_size)
         root, members = indices[0], [hosts[i].node_id for i in indices[1:]]
         done = []
         handle = services[root].create_group(members)
@@ -141,6 +130,12 @@ def _run_alternative(kind: str, n_nodes: int, n_groups: int, group_size: int,
         handle.on_notified(lambda _g, reason: done.append(reason.value))
         while not done and sim.step():
             pass
+    return sim, ledger
+
+
+def _run_alternative(kind: str, n_nodes: int, n_groups: int, group_size: int,
+                     window_ms: float, seed: int) -> float:
+    sim, _ledger = alternative_deployment(kind, n_nodes, n_groups, group_size, seed)
     sim.metrics.reset_counters()
     sim.run(until=sim.now + window_ms)
     return sim.metrics.counter("net.messages").rate_per_second(window_ms)

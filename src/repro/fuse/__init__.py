@@ -19,8 +19,9 @@ group state is ever orphaned.
 
 The default implementation monitors groups with per-group spanning trees
 over SkipNet overlay routes, piggybacking a hash of live group IDs on the
-overlay's existing ping traffic (§5-§6).  Alternative liveness topologies
-from §5.1 live in :mod:`repro.fuse.topologies`.
+overlay's existing ping traffic (§5-§6).  The group lifecycle it shares
+with the §5.1 alternative liveness topologies (:mod:`repro.fuse.topologies`)
+lives in :mod:`repro.fuse.core`.
 """
 
 from repro.fuse.api import (

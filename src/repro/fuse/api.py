@@ -143,9 +143,10 @@ class NoteRecord(NamedTuple):
 class FuseGroup:
     """Application-facing handle for one FUSE group.
 
-    Returned by ``FuseService.create_group`` (and the §5 alternative
-    topologies, and ``FuseWorld.create_group``).  ``owner`` is the
-    creating service — ``signal()`` forwards to its ``signal_failure``.
+    Returned by ``create_group`` on every FUSE implementation
+    (:class:`~repro.fuse.core.FuseCore`) and by ``FuseWorld.create_group``.
+    ``owner`` is the creating service — ``signal()`` forwards to its
+    ``signal_failure``.
     """
 
     __slots__ = (

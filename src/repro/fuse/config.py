@@ -5,6 +5,11 @@ them: a 5 second grace period for the install/ping race (§6.3), per-group
 exponential repair backoff capped at 40 seconds (§6.5), a 1 minute member
 repair timeout and 2 minute root repair timeout (§7.4).
 
+Every FUSE implementation reads this config: the overlay service, and
+the §5.1 direct-link topologies (:mod:`repro.fuse.topologies`), which use
+``create_timeout_ms``, ``grace_period_ms`` and ``blocking_create`` and
+take their ping timing from the overlay's ``OverlayConfig``.
+
 The ablation switches at the bottom correspond to the design choices the
 paper argues for; flipping them reproduces the alternatives it rejects
 (paper §5/§6; ``repair_enabled`` drives the §6 repair ablation).

@@ -7,7 +7,7 @@ serial plus a short hash — unique within a deployment (node names are
 unique, and each creator numbers its own groups), deterministic under a
 fixed simulation seed, and human-readable in traces.
 
-Creators (``FuseService`` and the §5 alternative topologies) own their
+Creators (every :class:`~repro.fuse.core.FuseCore`) own their
 serial counters, so IDs are a pure function of the world's seed — the
 property the trial engine's serial-vs-parallel determinism guarantee
 rests on.  Calling :func:`make_fuse_id` without a serial falls back to a

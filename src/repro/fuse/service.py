@@ -34,16 +34,15 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
-from repro.fuse.api import FuseGroup, GroupLedger, ledger_completion
+from repro.fuse.api import GroupLedger
 from repro.fuse.config import FuseConfig
-from repro.fuse.ids import FuseId, make_fuse_id
+from repro.fuse.core import FuseCore
+from repro.fuse.ids import FuseId
 from repro.fuse.messages import (
     FuseLinkList,
     GroupCreateReply,
-    GroupCreateRequest,
     GroupRepairReply,
     GroupRepairRequest,
     HardNotification,
@@ -51,43 +50,23 @@ from repro.fuse.messages import (
     NeedRepair,
     SoftNotification,
 )
-from repro.fuse.state import FailureHandler, GroupState
+from repro.fuse.state import GroupState
 from repro.net.address import NodeId
 from repro.net.message import Message
-from repro.net.node import Host
 from repro.overlay.skipnet.messages import RouteEnvelope
 from repro.overlay.skipnet.node import OverlayNode
-
-CreateCallback = Callable[[Optional[FuseId], str], None]
 
 _EMPTY_HASH = hashlib.sha1(b"").hexdigest()
 
 
-class _PendingCreate:
-    """Root-side bookkeeping for one CreateGroup call."""
-
-    __slots__ = ("awaiting", "on_complete", "failed")
-
-    def __init__(self, awaiting: Set[NodeId], on_complete: CreateCallback) -> None:
-        self.awaiting = awaiting
-        self.on_complete = on_complete
-        self.failed = False
-
-
-class FuseService:
-    """FUSE API and protocol engine attached to one overlay node."""
+class FuseService(FuseCore):
+    """FUSE API and protocol engine attached to one overlay node: the
+    shared group lifecycle plus liveness trees over overlay routes."""
 
     __slots__ = (
         "overlay",
-        "host",
-        "sim",
-        "config",
-        "ledger",
-        "groups",
-        "notifications",
         "_last_list_sent",
         "_liveness_timeout",
-        "_fuse_id_serial",
         "_stable_store",
         "_shared_cache",
     )
@@ -98,19 +77,9 @@ class FuseService:
         config: Optional[FuseConfig] = None,
         ledger: Optional[GroupLedger] = None,
     ) -> None:
+        super().__init__(overlay_node.host, config, ledger)
         self.overlay = overlay_node
-        self.host: Host = overlay_node.host
-        self.sim = self.host.network.sim
-        self.config = config or FuseConfig()
-        # The notification ledger — shared world-wide when constructed by
-        # FuseWorld, private otherwise.  All group lifecycle accounting
-        # (creates, per-member notifications, handle dispatch) goes
-        # through it; see repro.fuse.api.
-        self.ledger = ledger if ledger is not None else GroupLedger(
-            self.sim, self.host.network.faults
-        )
         self.groups: Dict[FuseId, GroupState] = {}
-        self.notifications: Dict[FuseId, str] = {}
         self._last_list_sent: Dict[NodeId, float] = {}
         # _shared_ids scans every group for link membership — the hottest
         # FUSE call in steady state (twice per ping, plus evidence on
@@ -123,10 +92,6 @@ class FuseService:
         self._liveness_timeout = self.config.effective_liveness_timeout(
             overlay_node.config.liveness_silence_ms
         )
-        # Per-creator serial: fuse ids are a pure function of the world's
-        # seed (no process-global state), which the trial engine's
-        # serial-vs-parallel determinism guarantee depends on.
-        self._fuse_id_serial = itertools.count(1)
 
         # §3.6 stable storage: survives crashes (it models a disk file).
         # Maps fuse_id -> minimal recovery record.
@@ -135,10 +100,8 @@ class FuseService:
         host = self.host
         host.on_crash(self._on_host_crash)
         host.on_recover(self._on_host_recover)
-        host.register_handler(GroupCreateRequest, self._on_create_request)
         host.register_handler(InstallChecking, self._on_install_delivered)
         host.register_handler(SoftNotification, self._on_soft_notification)
-        host.register_handler(HardNotification, self._on_hard_notification)
         host.register_handler(NeedRepair, self._on_need_repair)
         host.register_handler(GroupRepairRequest, self._on_repair_request)
         host.register_handler(FuseLinkList, self._on_link_list)
@@ -209,25 +172,11 @@ class FuseService:
         self._stable_store.pop(fuse_id, None)
 
     # ------------------------------------------------------------------
-    # Public API (Fig 1 of the paper)
+    # Group creation (the blocking fan-out lives in FuseCore)
     # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self.host.name
-
-    def create_group(self, members: Sequence[NodeId]) -> FuseGroup:
-        """CreateGroup: build a group of this node (the root) plus ``members``.
-
-        Returns a :class:`~repro.fuse.api.FuseGroup` handle carrying the
-        assigned FUSE ID and lifecycle subscriptions: ``on_live`` fires
-        once every member has been contacted (blocking-create semantics,
-        §3.2); on failure the handle moves to ``failed_create``,
-        ``on_notified`` fires, and all contacted members are notified so
-        no state is orphaned (§6.2).  Every attempt and outcome is also
-        recorded on :attr:`ledger`.
-        """
-        member_ids = [m for m in dict.fromkeys(members) if m != self.host.node_id]
-        fuse_id = make_fuse_id(self.name, serial=next(self._fuse_id_serial))
+    def _new_root_state(
+        self, fuse_id: FuseId, member_ids: List[NodeId], member_names: List[str]
+    ) -> GroupState:
         state = GroupState(
             fuse_id,
             root_name=self.name,
@@ -237,111 +186,20 @@ class FuseService:
             is_member=True,
         )
         state.member_ids = member_ids
-        state.member_names = [self._name_of(m) for m in member_ids]
-        state.pending_installs = set(state.member_names)
-        self.groups[fuse_id] = state
-        self.sim.metrics.counter("fuse.create_attempts").increment()
+        state.member_names = member_names
+        state.pending_installs = set(member_names)
+        return state
 
-        handle = FuseGroup(
-            self, self.ledger, fuse_id, self.host.node_id, [self.host.node_id] + member_ids
-        )
-        self.ledger.record_create(fuse_id, self.host.node_id, handle.members)
-        self.ledger.attach_handle(handle)
-        done = ledger_completion(self.ledger, fuse_id)
+    def _create_contacts(self, state: GroupState) -> List[NodeId]:
+        return state.member_ids
 
-        if not member_ids:
-            self.sim.schedule_soon(lambda: self._complete_create(state, done))
-            return handle
-
-        pending = _PendingCreate(set(member_ids), done)
-        state.pending_create = pending
-        request_names = [self.name] + state.member_names
-        for member in member_ids:
-            self._create_rpc(state, pending, member, request_names)
-
-        if not self.config.blocking_create:
-            # Ablation: hand the ID back immediately; liveness checking
-            # must catch unreachable members after the fact.
-            self.sim.schedule_soon(lambda: done(fuse_id, "ok"))
-            pending.on_complete = lambda *_: None
-        return handle
-
-
-    def register_failure_handler(self, fuse_id: FuseId, handler: FailureHandler) -> None:
-        """RegisterFailureHandler: invoke ``handler`` on group failure.
-
-        If the group is unknown here — typically because it has already
-        been signalled — the handler is invoked immediately (§3.2).
-        """
-        state = self.groups.get(fuse_id)
-        if state is None:
-            self.sim.schedule_soon(lambda: handler(fuse_id))
-            return
-        state.handler = handler
-
-    def signal_failure(self, fuse_id: FuseId) -> None:
-        """SignalFailure: the application declares the group failed."""
-        state = self.groups.get(fuse_id)
-        if state is None:
-            return  # already failed; one notification per group, ever
-        self.sim.metrics.counter("fuse.explicit_signals").increment()
-        if state.is_root:
-            self._root_hard_fail(state, "signaled", exclude=None)
-        else:
-            self._send_control(state.root_id, HardNotification(fuse_id, "signaled"))
-            self._soft_notify_links(state, exclude=None)
-            self._fail_group(state, "signaled")
-
-    def live_group_ids(self) -> List[FuseId]:
-        return sorted(self.groups)
-
-    # ------------------------------------------------------------------
-    # Group creation
-    # ------------------------------------------------------------------
-    def _create_rpc(
-        self,
-        state: GroupState,
-        pending: _PendingCreate,
-        member: NodeId,
-        request_names: List[str],
-    ) -> None:
-        request = GroupCreateRequest(state.fuse_id, self.name, request_names)
-
-        def on_reply(reply) -> None:
-            if pending.failed or state.fuse_id not in self.groups:
-                return
-            if not getattr(reply, "ok", False):
-                self._create_failed(state, pending, f"member {member} refused")
-                return
-            pending.awaiting.discard(member)
-            if not pending.awaiting:
-                self._complete_create(state, pending.on_complete)
-
-        def on_failure(why: str) -> None:
-            if pending.failed or state.fuse_id not in self.groups:
-                return
-            self._create_failed(state, pending, f"member {member} unreachable ({why})")
-
-        self.host.rpc(member, request, self.config.create_timeout_ms, on_reply, on_failure)
-
-    def _complete_create(self, state: GroupState, on_complete: CreateCallback) -> None:
-        if state.fuse_id not in self.groups:
-            return
-        state.pending_create = None
-        self.sim.metrics.counter("fuse.groups_created").increment()
+    def _created(self, state: GroupState) -> None:
         self._persist(state)
         self._arm_install_timer(state)
-        on_complete(state.fuse_id, "ok")
 
-    def _create_failed(self, state: GroupState, pending: _PendingCreate, reason: str) -> None:
-        pending.failed = True
-        self.sim.metrics.counter("fuse.create_failures").increment()
-        # Notify everyone who may have installed state; no orphans (§6.2).
-        for member in state.member_ids:
-            self.host.send(member, HardNotification(state.fuse_id, f"create-failed: {reason}"))
+    def _abandon(self, state: GroupState) -> None:
         self._soft_notify_links(state, exclude=None)
         self._remove_state(state)
-        pending.on_complete(None, reason)
 
     def _on_create_request(self, message: Message) -> None:
         request = message
@@ -587,7 +445,7 @@ class FuseService:
                 self._ensure_link(state, peer)
             else:
                 # The neighbor disclaims this group on our shared link.
-                if self.sim.now - state.created_at <= self.config.grace_period_ms:
+                if self._in_grace(state):
                     continue  # install/ping race (§6.3): give it time
                 timer = state.links.pop(peer, None)
                 if timer is not None:
@@ -648,7 +506,7 @@ class FuseService:
         if not self.config.repair_enabled and (state.is_member or state.is_root):
             # Ablation: no repair; convert any tree break into group failure.
             if state.is_root:
-                self._root_hard_fail(state, f"no-repair:{reason}", exclude=None)
+                self._hard_fail(state, f"no-repair:{reason}")
             else:
                 self._send_control(
                     state.root_id, HardNotification(state.fuse_id, f"no-repair:{reason}")
@@ -693,9 +551,7 @@ class FuseService:
         if state is None:
             return
         # Never heard back from the root: give up and notify (§6.5).
-        self._send_control(state.root_id, HardNotification(fuse_id, "member-repair-timeout"))
-        self._soft_notify_links(state, exclude=None)
-        self._fail_group(state, "member-repair-timeout")
+        self._hard_fail(state, "member-repair-timeout")
 
     def _on_need_repair(self, message: Message) -> None:
         need = message
@@ -714,7 +570,7 @@ class FuseService:
         if not state.is_root or state.fuse_id not in self.groups:
             return
         if not self.config.repair_enabled:
-            self._root_hard_fail(state, f"no-repair:{reason}", exclude=None)
+            self._hard_fail(state, f"no-repair:{reason}")
             return
         if state.repair_in_progress:
             return
@@ -758,7 +614,7 @@ class FuseService:
                 return
             if not getattr(reply, "known", False):
                 outcome["failed"] = True
-                self._root_hard_fail(state, f"repair-unknown-at-{member}", exclude=None)
+                self._hard_fail(state, f"repair-unknown-at-{member}")
                 return
             outcome["awaiting"].discard(member)
             if not outcome["awaiting"]:
@@ -769,7 +625,7 @@ class FuseService:
             if outcome["failed"] or state.fuse_id not in self.groups:
                 return
             outcome["failed"] = True
-            self._root_hard_fail(state, f"repair-{why}-at-{member}", exclude=None)
+            self._hard_fail(state, f"repair-{why}-at-{member}")
 
         self.host.rpc(member, request, self.config.root_repair_timeout_ms, on_reply, on_failure)
 
@@ -794,49 +650,20 @@ class FuseService:
     # ------------------------------------------------------------------
     # Hard notifications and group teardown
     # ------------------------------------------------------------------
-    def _on_hard_notification(self, message: Message) -> None:
-        hard = message
-        state = self.groups.get(hard.fuse_id)
-        if state is None:
-            return  # already failed here; exactly-once is preserved
+    def _spread_failure(self, state: GroupState, reason: str, sender: Optional[NodeId]) -> None:
+        """The root fans the HardNotification out to every other member; a
+        node that detected or signalled the failure itself tells the root.
+        Either way the checking tree is cleaned (§6.4)."""
         if state.is_root:
-            self._root_hard_fail(state, hard.reason, exclude=hard.sender)
-        else:
-            self._soft_notify_links(state, exclude=None)
-            self._fail_group(state, hard.reason)
-
-    def _root_hard_fail(self, state: GroupState, reason: str, exclude: Optional[NodeId]) -> None:
-        """Root-side group failure: fan the HardNotification out to every
-        other member, clean the checking tree, fail locally (§6.4)."""
-        for member in state.member_ids:
-            if member == exclude:
-                continue
-            self._send_control(member, HardNotification(state.fuse_id, reason))
+            for member in state.member_ids:
+                if member == sender:
+                    continue
+                self._send_control(member, HardNotification(state.fuse_id, reason))
+        elif sender is None:
+            self._send_control(state.root_id, HardNotification(state.fuse_id, reason))
         self._soft_notify_links(state, exclude=None)
-        self._fail_group(state, reason)
 
-    def _fail_group(self, state: GroupState, reason: str) -> None:
-        """Invoke the handler exactly once and drop every trace of the
-        group.  Absence of state is what makes later notifications no-ops
-        and RegisterFailureHandler fire immediately."""
-        if self.groups.pop(state.fuse_id, None) is None:
-            return
-        self._clear_links(state)
-        state.cancel_all_timers()
-        self._unpersist(state.fuse_id)
-        self.notifications[state.fuse_id] = reason
-        if state.is_member or state.is_root:
-            self.sim.metrics.counter("fuse.hard_notifications").increment()
-        handler = state.handler
-        if handler is not None:
-            handler(state.fuse_id)
-        role = "root" if state.is_root else ("member" if state.is_member else "delegate")
-        self.ledger.notified(state.fuse_id, self.host.node_id, role, reason)
-
-    def _remove_state(self, state: GroupState) -> None:
-        """Silent teardown for delegate-only or never-completed state."""
-        if self.groups.pop(state.fuse_id, None) is None:
-            return
+    def _teardown(self, state: GroupState) -> None:
         self._clear_links(state)
         state.cancel_all_timers()
         self._unpersist(state.fuse_id)

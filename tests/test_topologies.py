@@ -1,49 +1,52 @@
-"""Shared semantics tests for the three alternative liveness topologies
-(§5.1): every implementation must provide distributed one-way agreement."""
+"""One contract suite for every FUSE implementation: the overlay service
+and the three alternative liveness topologies (§5.1) must all provide
+distributed one-way agreement."""
 
 import pytest
 
+from repro import FuseWorld
 from repro.fuse.api import GroupLedger
-from repro.fuse.topologies import (
-    AllToAllFuse,
-    CentralServer,
-    CentralServerFuse,
-    DirectTreeFuse,
-    TopologyConfig,
-)
+from repro.fuse.topologies import ALL_TO_ALL, DIRECT_TREE, DirectLinkFuse, central
 from repro.net import MercatorConfig, Network, build_mercator_topology
 from repro.net.node import Host
+from repro.overlay import OverlayConfig
 from repro.sim import Simulator
 
-FAST = TopologyConfig(ping_period_ms=10_000.0, ping_timeout_ms=4_000.0)
+FAST = OverlayConfig(ping_period_ms=10_000.0, ping_timeout_ms=4_000.0)
+ALTERNATIVES = ["direct", "all_to_all", "central"]
 
 
 class Deployment:
-    """A set of hosts running one alternative-topology implementation."""
+    """A set of hosts running one FUSE implementation: ``overlay`` is
+    FuseService on a FuseWorld; the rest are direct-link topologies, with
+    one spare host as the central server."""
 
     def __init__(self, kind: str, n: int = 10, seed: int = 9):
+        self.kind = kind
+        if kind == "overlay":
+            world = FuseWorld(n_nodes=n, seed=seed)
+            world.bootstrap()
+            self.sim, self.net, self.ledger = world.sim, world.net, world.ledger
+            self.hosts = [world.host(nid) for nid in world.node_ids]
+            self.services = [world.fuse(nid) for nid in world.node_ids]
+            return
         self.sim = Simulator(seed=seed)
         topo, host_ids = build_mercator_topology(
             MercatorConfig(n_hosts=n + 1, n_as=4), self.sim.rng.stream("topology")
         )
         self.net = Network(self.sim, topo)
         self.hosts = [Host(self.net, h) for h in host_ids]
-        self.kind = kind
         self.ledger = GroupLedger(self.sim, self.net.faults)
-        if kind == "central":
-            self.server = CentralServer(self.hosts[-1], FAST)
-            self.services = [
-                CentralServerFuse(h, self.hosts[-1].node_id, FAST, ledger=self.ledger)
-                for h in self.hosts[:-1]
-            ]
-        elif kind == "direct":
-            self.services = [DirectTreeFuse(h, FAST, ledger=self.ledger) for h in self.hosts[:-1]]
-        else:
-            self.services = [AllToAllFuse(h, FAST, ledger=self.ledger) for h in self.hosts[:-1]]
+        topology = {"direct": DIRECT_TREE, "all_to_all": ALL_TO_ALL}.get(kind)
+        topology = topology or central(self.hosts[-1].node_id)
+        services = [DirectLinkFuse(h, topology, FAST, ledger=self.ledger) for h in self.hosts]
+        self.services, self.server = services[:-1], services[-1]
 
     def create_sync(self, root: int, members):
         outcome = {}
-        handle = self.services[root].create_group(members)
+        handle = self.services[root].create_group(
+            [self.hosts[m].node_id for m in members]
+        )
         handle.on_live(lambda g: outcome.update(fid=g.fuse_id, status="ok"))
         handle.on_notified(
             lambda g, _reason: outcome.update(
@@ -61,8 +64,13 @@ class Deployment:
         self.sim.run_for(m * 60_000.0)
 
 
-@pytest.fixture(params=["direct", "all_to_all", "central"])
+@pytest.fixture(params=["overlay"] + ALTERNATIVES)
 def deployment(request):
+    return Deployment(request.param)
+
+
+@pytest.fixture(params=ALTERNATIVES)
+def alternative(request):
     return Deployment(request.param)
 
 
@@ -86,13 +94,13 @@ class TestAlternativeTopologies:
         for m in (0, 1, 3):
             assert fid in deployment.services[m].notifications, (deployment.kind, m)
 
-    def test_member_crash_notifies_survivors(self, deployment):
-        fid, status = deployment.create_sync(0, [1, 2, 3])
+    def test_member_crash_notifies_survivors(self, alternative):
+        fid, status = alternative.create_sync(0, [1, 2, 3])
         assert status == "ok"
-        deployment.net.crash_host(deployment.hosts[3].node_id)
-        deployment.run_minutes(5)
+        alternative.net.crash_host(alternative.hosts[3].node_id)
+        alternative.run_minutes(5)
         for m in (0, 1, 2):
-            assert fid in deployment.services[m].notifications, (deployment.kind, m)
+            assert fid in alternative.services[m].notifications, (alternative.kind, m)
 
     def test_handler_exactly_once(self, deployment):
         fid, status = deployment.create_sync(0, [1, 2])
@@ -151,7 +159,7 @@ class TestTopologySpecifics:
         dep.net.crash_host(dep.hosts[3].node_id)
         dep.run_minutes(5)
         assert set(times) == {0, 1, 2}
-        bound = 2 * FAST.ping_period_ms + FAST.ping_timeout_ms + FAST.silence_ms
+        bound = 2 * FAST.ping_period_ms + FAST.ping_timeout_ms + FAST.liveness_silence_ms
         for m, t in times.items():
             assert t - t0 <= bound
 
@@ -175,7 +183,7 @@ class TestTopologySpecifics:
             assert status == "ok"
         dep.sim.metrics.reset_counters()
         dep.run_minutes(5)
-        pings = dep.sim.metrics.counter("net.msg.CsPing").value
+        pings = dep.sim.metrics.counter("net.msg.AltPing").value
         # 3 participating members x ~30 ten-second periods over 5 minutes,
         # independent of the 5 groups they all belong to.
         periods = (5 * 60_000.0) / FAST.ping_period_ms
