@@ -52,7 +52,8 @@ class FuseConfig:
     grace_period_ms: float = 5_000.0
     """A node only removes checking state its neighbor disclaims if that
     state is older than this, resolving the InstallChecking/ping race
-    (§6.3: 5 seconds)."""
+    (§6.3: 5 seconds).  The §5.1 direct-link topologies likewise ignore a
+    ping or ack that omits a group younger than this."""
 
     notification_size_bytes: int = 128
 

@@ -8,7 +8,8 @@ around an optional *hub*:
 * **who watches whom** — the hub watches every member, a member watches
   the hub; with no hub, every member watches every other.  Silence past
   ``ping_period_ms + ping_timeout_ms``, or a ping or ack that omits the
-  group, is failure.
+  group, is failure — unless the group is younger than
+  ``FuseConfig.grace_period_ms`` (the §6.3 install/ping race).
 * **who relays** — a member that detects or signals a failure tells the
   hub, and the hub tells every other member.  With no hub the member
   tells everyone itself, and nobody relays.
@@ -240,7 +241,7 @@ class DirectLinkFuse(FuseCore):
         # member has dropped a group.
         listed = set(ping.group_ids)
         for group in list(self.groups.values()):
-            if not group.pings and sender in group.deadlines and group.fuse_id not in listed:
+            if not group.pings and self._disclaimed(group, sender, listed):
                 self._peer_silent(group, [sender])
 
     def _on_ping_ack(self, message: Message) -> None:
@@ -252,8 +253,18 @@ class DirectLinkFuse(FuseCore):
         # have been dropped by the peer: they are failing.
         acked = set(ack.group_ids)
         for group in list(self.groups.values()):
-            if group.pings and ack.sender in group.deadlines and group.fuse_id not in acked:
+            if group.pings and self._disclaimed(group, ack.sender, acked):
                 self._peer_silent(group, [ack.sender])
+
+    def _disclaimed(self, group: LinkGroup, peer: NodeId, listed) -> bool:
+        """Did watched ``peer`` leave ``group`` out of its ping or ack?  A
+        group younger than the grace period may simply not have reached
+        the peer yet (§6.3's install/ping race), so that is no failure."""
+        return (
+            peer in group.deadlines
+            and group.fuse_id not in listed
+            and not self._in_grace(group)
+        )
 
     def _heard_from(self, peer: NodeId, group_ids: Sequence[FuseId]) -> None:
         deadline = self.sim.now + self.timing.liveness_silence_ms

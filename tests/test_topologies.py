@@ -5,6 +5,7 @@ distributed one-way agreement."""
 import pytest
 
 from repro import FuseWorld
+from repro.experiments.ablation import alternative_deployment
 from repro.fuse.api import GroupLedger
 from repro.fuse.topologies import ALL_TO_ALL, DIRECT_TREE, DirectLinkFuse, central
 from repro.net import MercatorConfig, Network, build_mercator_topology
@@ -197,3 +198,15 @@ class TestTopologySpecifics:
         dep.run_minutes(2)
         holders = [i for i, s in enumerate(dep.services) if fid in s.groups]
         assert sorted(holders) == [0, 1, 2]
+
+
+class TestInstallPingGrace:
+    @pytest.mark.parametrize("kind", ["direct-tree", "all-to-all", "central"])
+    def test_no_faults_no_notifications(self, kind):
+        """§6.3's grace on the direct-link monitor: a peer that pings or
+        acks before a young group's create reached it is racing, not
+        failing.  Without the grace this seed loses a group in each
+        topology with no fault anywhere."""
+        sim, ledger = alternative_deployment(kind, 40, 40, 6, seed=2)
+        sim.run(until=sim.now + 600_000.0)
+        assert ledger.notes == []
