@@ -31,32 +31,40 @@ class LiveTimerHandle:
 
     API-compatible with :class:`repro.sim.events.TimerHandle`: ``when``
     (virtual ms), ``active``, ``cancel()``, ``reschedule_at/after``.
+
+    A pending timer is a cycle (this handle -> asyncio handle -> dispatch
+    closure -> ``self._fire``), and callers often store the handle where
+    its callback can reach it.  Firing or cancelling drops the callback
+    and the asyncio handle, so a spent timer leaves nothing for the
+    cyclic collector.
     """
 
-    __slots__ = ("_kernel", "_callback", "_label", "_handle", "_fired", "when")
+    __slots__ = ("_kernel", "_callback", "_label", "_handle", "when")
 
     def __init__(self, kernel: "AsyncioKernel", when: float, callback: Callable[[], Any], label: str) -> None:
         self._kernel = kernel
         self._callback = callback
         self._label = label
-        self._fired = False
         self.when = when
         self._handle = kernel._schedule(when, self._fire)
 
     def _fire(self) -> None:
-        self._fired = True
-        self._callback()
+        callback = self._callback
+        self._callback = self._handle = None
+        callback()
 
     @property
     def active(self) -> bool:
-        return not self._fired and not self._handle.cancelled()
+        return self._handle is not None
 
     def cancel(self) -> None:
-        self._handle.cancel()
+        if self._handle is not None:
+            self._handle.cancel()
+            self._callback = self._handle = None
 
     def reschedule_at(self, when: float) -> bool:
         """Move a still-pending timer to virtual time ``when``."""
-        if not self.active:
+        if self._handle is None:
             return False
         self._handle.cancel()
         self.when = when

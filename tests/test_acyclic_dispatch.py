@@ -15,6 +15,7 @@ import pytest
 
 from repro import FuseWorld
 from repro.fuse.api import GroupStatus
+from repro.net.backends.liveworld import LiveWorld
 from repro.scenarios.builtin import BUILTIN
 from repro.scenarios.timeline import execute_with_context
 from repro.sim import Simulator
@@ -100,6 +101,20 @@ class TestNoUnreachableObjects:
             world.net.crash_host(members[0])
         world.run_for_minutes(5)
         assert_no_garbage(world)
+
+    def test_live_world(self, assert_no_garbage):
+        # The live path: a fired or cancelled LiveTimerHandle must let go
+        # of its callback, or every timer and every retransmit state
+        # (_LivePending.timer) is a cycle.
+        with LiveWorld(n_nodes=16, seed=3, time_scale=0.01) as world:
+            world.bootstrap()
+            rng = world.sim.rng.stream("test.acyclic")
+            for _ in range(4):
+                root, *members = rng.sample(world.node_ids, 4)
+                world.create_group_sync(root, members)
+            world.run_for(60_000.0)
+            assert world.sim.events_dispatched > 0
+            assert_no_garbage(world)
 
     @pytest.mark.parametrize("name", sorted(BUILTIN))
     def test_quick_builtin_scenario(self, assert_no_garbage, name):
