@@ -26,7 +26,7 @@ from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
 from repro.experiments.report import Claim, format_table
 from repro.fuse.api import GroupLedger
 from repro.fuse.config import FuseConfig
-from repro.fuse.topologies import ALL_TO_ALL, DIRECT_TREE, DirectLinkFuse, central
+from repro.fuse.topologies import ALL_TO_ALL, DIRECT_TREE, DirectLinkFuse, Topology
 from repro.net import MercatorConfig, Network, build_mercator_topology
 from repro.net.node import Host
 from repro.sim import Simulator
@@ -115,7 +115,7 @@ def alternative_deployment(kind: str, n_nodes: int, n_groups: int, group_size: i
     net = Network(sim, topo)
     hosts = [Host(net, h) for h in host_ids[: n_nodes + 1]]
     topology = {"direct-tree": DIRECT_TREE, "all-to-all": ALL_TO_ALL}.get(kind)
-    topology = topology or central(hosts[-1].node_id)
+    topology = topology or Topology(server=hosts[-1].node_id)
     # One ledger per deployment (as FuseWorld does) so handles see every
     # member's notifications, not just the local node's.
     ledger = GroupLedger(sim, net.faults)
@@ -133,14 +133,6 @@ def alternative_deployment(kind: str, n_nodes: int, n_groups: int, group_size: i
     return sim, ledger
 
 
-def _run_alternative(kind: str, n_nodes: int, n_groups: int, group_size: int,
-                     window_ms: float, seed: int) -> float:
-    sim, _ledger = alternative_deployment(kind, n_nodes, n_groups, group_size, seed)
-    sim.metrics.reset_counters()
-    sim.run(until=sim.now + window_ms)
-    return sim.metrics.counter("net.messages").rate_per_second(window_ms)
-
-
 def _topology_trial(spec: TrialSpec) -> Measurements:
     config: TopologyAblationConfig = spec.context
     kind = spec["topology"]
@@ -151,9 +143,12 @@ def _topology_trial(spec: TrialSpec) -> Measurements:
             config.n_nodes, n_groups, config.group_size, window_ms, spec.seed
         )
     else:
-        rate = _run_alternative(
-            kind, config.n_nodes, n_groups, config.group_size, window_ms, spec.seed
+        sim, _ledger = alternative_deployment(
+            kind, config.n_nodes, n_groups, config.group_size, spec.seed
         )
+        sim.metrics.reset_counters()
+        sim.run(until=sim.now + window_ms)
+        rate = sim.metrics.counter("net.messages").rate_per_second(window_ms)
     return {"msgs_per_sec": rate}
 
 

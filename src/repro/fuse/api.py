@@ -483,18 +483,3 @@ class GroupLedger:
             f"duplicates={len(self.duplicates)})"
         )
 
-
-def ledger_completion(
-    ledger: GroupLedger, fuse_id: FuseId
-) -> Callable[[Optional[FuseId], str], None]:
-    """The single create-completion callback every FUSE implementation
-    routes through: records the outcome on the ledger, which dispatches
-    the handle."""
-
-    def done(fid: Optional[FuseId], status: str) -> None:
-        if fid is not None and status == "ok":
-            ledger.group_live(fuse_id)
-        else:
-            ledger.group_create_failed(fuse_id, status)
-
-    return done

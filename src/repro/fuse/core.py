@@ -16,18 +16,19 @@ the same way:
   the node's ledger row; absent state is what makes every later
   notification a no-op (§3).
 
-A monitor subclass supplies the group record and four hooks: how the
+A monitor subclass supplies the group record and its hooks: how the
 root's record is built (``_new_root_state``), whom the create contacts
-(``_create_contacts``), what a completed create arms (``_created``), and
-whom a failure is spread to (``_spread_failure``).
+(``_create_contacts``), how a contacted node installs the group
+(``_on_create_request``), what a completed create arms (``_created``),
+and whom a failure is spread to (``_spread_failure``).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
-from repro.fuse.api import FuseGroup, GroupLedger, ledger_completion
+from repro.fuse.api import FuseGroup, GroupLedger
 from repro.fuse.config import FuseConfig
 from repro.fuse.ids import FuseId, make_fuse_id
 from repro.fuse.messages import GroupCreateRequest, HardNotification
@@ -35,19 +36,6 @@ from repro.fuse.state import FailureHandler
 from repro.net.address import NodeId
 from repro.net.message import Message
 from repro.net.node import Host
-
-CreateCallback = Callable[[Optional[FuseId], str], None]
-
-
-class _PendingCreate:
-    """Root-side bookkeeping for one CreateGroup call."""
-
-    __slots__ = ("awaiting", "on_complete", "failed")
-
-    def __init__(self, awaiting: Set[NodeId], on_complete: CreateCallback) -> None:
-        self.awaiting = awaiting
-        self.on_complete = on_complete
-        self.failed = False
 
 
 class FuseCore:
@@ -123,24 +111,23 @@ class FuseCore:
         )
         self.ledger.record_create(fuse_id, self.host.node_id, handle.members)
         self.ledger.attach_handle(handle)
-        done = ledger_completion(self.ledger, fuse_id)
 
         contacts = self._create_contacts(state)
         if not contacts:
-            self.sim.schedule_soon(lambda: self._complete_create(state, done))
+            self.sim.schedule_soon(lambda: self._complete_create(state))
             return handle
 
-        pending = _PendingCreate(set(contacts), done)
-        state.pending_create = pending
+        # The nodes yet to reply; a failed create drops this set.
+        awaiting = state.pending_create = set(contacts)
         request_names = [self.name] + member_names
         for node in contacts:
-            self._create_rpc(state, pending, node, request_names)
+            self._create_rpc(state, awaiting, node, request_names)
 
         if not self.config.blocking_create:
             # Ablation: hand the ID back immediately; liveness checking
-            # must catch unreachable members after the fact.
-            self.sim.schedule_soon(lambda: done(fuse_id, "ok"))
-            pending.on_complete = lambda *_: None
+            # must catch unreachable members after the fact.  The ledger
+            # keeps the first outcome, so the create's own is dropped.
+            self.sim.schedule_soon(lambda: self.ledger.group_live(fuse_id))
         return handle
 
     def register_failure_handler(self, fuse_id: FuseId, handler: FailureHandler) -> None:
@@ -189,9 +176,6 @@ class FuseCore:
     def _teardown(self, state) -> None:
         """Release a dropped group's monitoring state (timers, links)."""
 
-    def _on_create_request(self, message: Message) -> None:
-        raise NotImplementedError
-
     def _name_of(self, node_id: NodeId) -> str:
         return self.host.network.host(node_id).name
 
@@ -201,45 +185,45 @@ class FuseCore:
     def _create_rpc(
         self,
         state,
-        pending: _PendingCreate,
+        awaiting: Set[NodeId],
         member: NodeId,
         request_names: List[str],
     ) -> None:
         request = GroupCreateRequest(state.fuse_id, self.name, request_names)
 
         def on_reply(reply) -> None:
-            if pending.failed or state.fuse_id not in self.groups:
+            if state.pending_create is not awaiting or state.fuse_id not in self.groups:
                 return
             if not getattr(reply, "ok", False):
-                self._create_failed(state, pending, f"member {member} refused")
+                self._create_failed(state, f"member {member} refused")
                 return
-            pending.awaiting.discard(member)
-            if not pending.awaiting:
-                self._complete_create(state, pending.on_complete)
+            awaiting.discard(member)
+            if not awaiting:
+                self._complete_create(state)
 
         def on_failure(why: str) -> None:
-            if pending.failed or state.fuse_id not in self.groups:
+            if state.pending_create is not awaiting or state.fuse_id not in self.groups:
                 return
-            self._create_failed(state, pending, f"member {member} unreachable ({why})")
+            self._create_failed(state, f"member {member} unreachable ({why})")
 
         self.host.rpc(member, request, self.config.create_timeout_ms, on_reply, on_failure)
 
-    def _complete_create(self, state, on_complete: CreateCallback) -> None:
+    def _complete_create(self, state) -> None:
         if state.fuse_id not in self.groups:
             return
         state.pending_create = None
         self.sim.metrics.counter("fuse.groups_created").increment()
         self._created(state)
-        on_complete(state.fuse_id, "ok")
+        self.ledger.group_live(state.fuse_id)
 
-    def _create_failed(self, state, pending: _PendingCreate, reason: str) -> None:
-        pending.failed = True
+    def _create_failed(self, state, reason: str) -> None:
+        state.pending_create = None
         self.sim.metrics.counter("fuse.create_failures").increment()
         # Notify everyone who may have installed state; no orphans (§6.2).
         for node in self._create_contacts(state):
             self.host.send(node, HardNotification(state.fuse_id, f"create-failed: {reason}"))
         self._abandon(state)
-        pending.on_complete(None, reason)
+        self.ledger.group_create_failed(state.fuse_id, reason)
 
     def _abandon(self, state) -> None:
         """Drop a group whose create failed; the root is not notified."""

@@ -39,9 +39,3 @@ def make_fuse_id(root_name: str, serial: Optional[int] = None, salt: int = 0) ->
         serial = next(_counter)
     digest = hashlib.sha1(f"{root_name}:{serial}:{salt}".encode()).hexdigest()[:8]
     return f"fuse-{root_name}-{serial}-{digest}"
-
-
-def reset_fuse_id_counter() -> None:
-    """Restart the global fallback serial counter (test isolation only)."""
-    global _counter
-    _counter = itertools.count(1)

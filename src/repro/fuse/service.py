@@ -685,10 +685,7 @@ class FuseService(FuseCore):
         return stamped
 
     def _name_of(self, node_id: NodeId) -> str:
-        name = self.overlay.overlay.name_of(node_id)
-        if name is not None:
-            return name
-        return self.host.network.host(node_id).name
+        return self.overlay.overlay.name_of(node_id) or super()._name_of(node_id)
 
     def __repr__(self) -> str:
         return f"FuseService({self.name}, groups={len(self.groups)})"

@@ -75,7 +75,7 @@ class GroupState:
         self.repair_in_progress: bool = False
         self.repair_backoff_ms: float = 0.0
         self.repair_scheduled: Optional[TimerHandle] = None
-        self.pending_create = None  # _PendingCreate during blocking create
+        self.pending_create = None  # contacts yet to reply during blocking create
 
         # Member-only fields.
         self.bootstrap_timer: Optional[TimerHandle] = None

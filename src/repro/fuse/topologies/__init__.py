@@ -14,7 +14,7 @@ whom, so one direct-link monitor runs each of them from a
 * :data:`ALL_TO_ALL` — no hub: every member pings every other.  No member
   relies on another to forward notifications; n² messages per group;
   worst-case notification latency of twice the ping interval.
-* :func:`central` — one trusted server is every group's hub.  It pings no
+* ``Topology(server=host)`` — one trusted server is every group's hub.  It pings no
   one; each member pings it once per period.  Minimal member load, a
   single point of trust and a server bottleneck.
 
@@ -23,12 +23,6 @@ the service, which the shared suite in tests/test_topologies.py asserts
 against all four.
 """
 
-from repro.fuse.topologies.direct_link import (
-    ALL_TO_ALL,
-    DIRECT_TREE,
-    DirectLinkFuse,
-    Topology,
-    central,
-)
+from repro.fuse.topologies.direct_link import ALL_TO_ALL, DIRECT_TREE, DirectLinkFuse, Topology
 
-__all__ = ["ALL_TO_ALL", "DIRECT_TREE", "DirectLinkFuse", "Topology", "central"]
+__all__ = ["ALL_TO_ALL", "DIRECT_TREE", "DirectLinkFuse", "Topology"]

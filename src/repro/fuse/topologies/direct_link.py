@@ -37,9 +37,9 @@ from repro.overlay.skipnet.config import OverlayConfig
 
 
 class Topology(NamedTuple):
-    """Where a group's hub sits in one §5.1 alternative."""
+    """Where a group's hub sits in one §5.1 alternative.  With neither
+    field set there is no hub: all-to-all."""
 
-    name: str
     hub_is_root: bool = False
     """Direct trees: each group's root is its hub and pings its members."""
 
@@ -56,12 +56,8 @@ class Topology(NamedTuple):
         return "alt-fuse" if self.server is None else "cs-fuse"
 
 
-ALL_TO_ALL = Topology("all-to-all")
-DIRECT_TREE = Topology("direct-tree", hub_is_root=True)
-
-
-def central(server: NodeId) -> Topology:
-    return Topology("central", server=server)
+ALL_TO_ALL = Topology()
+DIRECT_TREE = Topology(hub_is_root=True)
 
 
 class AltPing(Message):
@@ -82,11 +78,13 @@ class AltPingAck(AltPing):
 
 
 class LinkGroup:
-    """One node's state for one group under a direct-link topology."""
+    """One node's state for one group under a direct-link topology, with
+    the topology's rules resolved for this node."""
 
     __slots__ = (
         "fuse_id",
         "member_ids",
+        "peers",
         "hub",
         "is_root",
         "is_member",
@@ -98,24 +96,24 @@ class LinkGroup:
     )
 
     def __init__(
-        self, fuse_id: FuseId, root_id: NodeId, member_ids: Sequence[NodeId],
-        hub: Optional[NodeId], self_id: NodeId, created_at: float,
+        self, fuse_id: FuseId, member_ids: Sequence[NodeId], topology: Topology,
+        self_id: NodeId, now: float, silence_ms: float,
     ) -> None:
         self.fuse_id = fuse_id
         self.member_ids = tuple(member_ids)  # root first
-        self.hub = hub
-        self.is_root = root_id == self_id
+        self.peers = [m for m in self.member_ids if m != self_id]
+        self.hub = hub = topology.hub(self.member_ids[0])
+        self.is_root = self.member_ids[0] == self_id
         # A central hub outside the group holds delegate-role state.
         self.is_member = self_id in self.member_ids
-        self.pings = True
-        # Watched peer -> virtual-time deadline for hearing from them.
-        self.deadlines: Dict[NodeId, float] = {}
-        self.created_at = created_at
+        # Who pings whom, who watches whom: watched peer -> virtual-time
+        # deadline for hearing from them.
+        self.pings = hub != self_id or topology.hub_is_root
+        watched = self.peers if hub in (None, self_id) else [hub]
+        self.deadlines: Dict[NodeId, float] = dict.fromkeys(watched, now + silence_ms)
+        self.created_at = now
         self.handler: Optional[FailureHandler] = None
         self.pending_create = None
-
-    def peers(self, self_id: NodeId) -> List[NodeId]:
-        return [m for m in self.member_ids if m != self_id]
 
 
 class DirectLinkFuse(FuseCore):
@@ -142,25 +140,21 @@ class DirectLinkFuse(FuseCore):
         host.register_handler(AltPing, self._on_ping)
         host.register_handler(AltPingAck, self._on_ping_ack)
 
-    # ------------------------------------------------------------------
-    # Install: the three rules
-    # ------------------------------------------------------------------
-    def _install(self, fuse_id: FuseId, root_id: NodeId, member_ids: Sequence[NodeId]) -> LinkGroup:
-        me = self.host.node_id
-        hub = self.topology.hub(root_id)
-        group = LinkGroup(fuse_id, root_id, member_ids, hub, me, self.sim.now)
-        watched = group.peers(me) if hub is None or hub == me else [hub]
-        group.deadlines = dict.fromkeys(watched, self.sim.now + self.timing.liveness_silence_ms)
-        group.pings = hub != me or self.topology.hub_is_root
+    def _install(self, fuse_id: FuseId, member_ids: Sequence[NodeId]) -> LinkGroup:
         self._ensure_sweeping()
-        return group
+        return LinkGroup(
+            fuse_id, member_ids, self.topology, self.host.node_id,
+            self.sim.now, self.timing.liveness_silence_ms,
+        )
 
     def _spread_failure(self, group: LinkGroup, reason: str, sender: Optional[NodeId]) -> None:
+        """Who relays: whoever detects or signals tells the hub (with no
+        hub, every peer); the hub tells every member but its source."""
         me = self.host.node_id
         if sender is None:
-            targets = group.peers(me) if group.hub in (None, me) else [group.hub]
+            targets = group.peers if group.hub in (None, me) else [group.hub]
         elif group.hub == me:
-            targets = [m for m in group.peers(me) if m != sender]
+            targets = [m for m in group.peers if m != sender]
         else:
             return
         for node in targets:
@@ -172,13 +166,12 @@ class DirectLinkFuse(FuseCore):
     def _new_root_state(
         self, fuse_id: FuseId, member_ids: List[NodeId], member_names: List[str]
     ) -> LinkGroup:
-        return self._install(fuse_id, self.host.node_id, [self.host.node_id] + member_ids)
+        return self._install(fuse_id, [self.host.node_id] + member_ids)
 
     def _create_contacts(self, group: LinkGroup) -> List[NodeId]:
-        contacts = group.peers(self.host.node_id)
-        if group.hub is not None and group.hub != self.host.node_id and group.hub not in contacts:
-            contacts.append(group.hub)
-        return contacts
+        if group.hub is None or group.hub in group.member_ids:
+            return group.peers
+        return group.peers + [group.hub]
 
     def _on_create_request(self, message: Message) -> None:
         request = message
@@ -188,7 +181,7 @@ class DirectLinkFuse(FuseCore):
                 hosts = self.host.network.hosts()
                 ids = self._ids_by_name = {h.name: n for n, h in hosts.items()}
             members = [ids[name] for name in request.member_names]
-            self.groups[request.fuse_id] = self._install(request.fuse_id, request.sender, members)
+            self.groups[request.fuse_id] = self._install(request.fuse_id, members)
         self.host.respond(request, GroupCreateReply(request.fuse_id, ok=True))
 
     # ------------------------------------------------------------------

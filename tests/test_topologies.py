@@ -7,7 +7,7 @@ import pytest
 from repro import FuseWorld
 from repro.experiments.ablation import alternative_deployment
 from repro.fuse.api import GroupLedger
-from repro.fuse.topologies import ALL_TO_ALL, DIRECT_TREE, DirectLinkFuse, central
+from repro.fuse.topologies import ALL_TO_ALL, DIRECT_TREE, DirectLinkFuse, Topology
 from repro.net import MercatorConfig, Network, build_mercator_topology
 from repro.net.node import Host
 from repro.overlay import OverlayConfig
@@ -39,7 +39,7 @@ class Deployment:
         self.hosts = [Host(self.net, h) for h in host_ids]
         self.ledger = GroupLedger(self.sim, self.net.faults)
         topology = {"direct": DIRECT_TREE, "all_to_all": ALL_TO_ALL}.get(kind)
-        topology = topology or central(self.hosts[-1].node_id)
+        topology = topology or Topology(server=self.hosts[-1].node_id)
         services = [DirectLinkFuse(h, topology, FAST, ledger=self.ledger) for h in self.hosts]
         self.services, self.server = services[:-1], services[-1]
 
