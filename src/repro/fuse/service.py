@@ -79,7 +79,6 @@ class FuseService(FuseCore):
     ) -> None:
         super().__init__(overlay_node.host, config, ledger)
         self.overlay = overlay_node
-        self.groups: Dict[FuseId, GroupState] = {}
         self._last_list_sent: Dict[NodeId, float] = {}
         # _shared_ids scans every group for link membership — the hottest
         # FUSE call in steady state (twice per ping, plus evidence on
