@@ -14,11 +14,13 @@ platform offers it (cheap on Linux); ``spawn`` is the fallback.
 
 Paper cross-reference: §7 methodology — regenerating the paper's
 evaluation is embarrassingly parallel across runs; this module is the
-``--jobs`` flag behind every experiment and scenario CLI.
+``--jobs`` flag behind every experiment and scenario CLI, and
+:func:`add_run_options` parses it (with ``--seeds``) for both.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import multiprocessing
 from typing import Callable, Iterable, List, Optional, Sequence
@@ -30,22 +32,14 @@ from repro.engine.trial import TrialFn, TrialResult, TrialSpec, run_trial
 ResultSink = Callable[[TrialResult], None]
 
 
-def _pick_start_method(preferred: Optional[str]) -> str:
-    available = multiprocessing.get_all_start_methods()
-    if preferred is not None:
-        if preferred not in available:
-            raise ValueError(
-                f"start method {preferred!r} unavailable (have {available})"
-            )
-        return preferred
-    return "fork" if "fork" in available else "spawn"
+def _pick_start_method() -> str:
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
 def run_trials(
     fn: TrialFn,
     specs: Iterable[TrialSpec],
     jobs: int = 1,
-    start_method: Optional[str] = None,
     on_result: Optional[ResultSink] = None,
     keep_results: bool = True,
 ) -> List[TrialResult]:
@@ -56,7 +50,6 @@ def run_trials(
         specs: trial specs, typically from :meth:`Sweep.expand`.
         jobs: worker process count; ``<= 1`` means a serial in-process
             loop (the deterministic fallback — no multiprocessing at all).
-        start_method: override the multiprocessing start method.
         on_result: streaming sink invoked with each completed trial *in
             spec order* as soon as it is available (``imap`` under the
             hood, so a parallel run streams exactly the sequence a serial
@@ -77,7 +70,7 @@ def run_trials(
                 results.append(result)
         return results
 
-    ctx = multiprocessing.get_context(_pick_start_method(start_method))
+    ctx = multiprocessing.get_context(_pick_start_method())
     worker = functools.partial(run_trial, fn)
     with ctx.Pool(processes=jobs) as pool:
         # chunksize=1: trials are coarse-grained; balance beats batching.
@@ -89,3 +82,37 @@ def run_trials(
             if keep_results:
                 results.append(result)
     return results
+
+
+def _jobs(text: str) -> int:
+    return max(1, int(text))
+
+
+def _seeds(text: str) -> List[int]:
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expects comma-separated integers: {exc}")
+
+
+def add_run_options(parser: argparse.ArgumentParser, trials: str) -> None:
+    """Add the ``--jobs`` and ``--seeds`` options every run CLI shares.
+
+    Both are parsed here: ``--jobs`` below 1 reads back as 1 (a serial
+    run), so a CLI reports the job count it ran with; ``--seeds`` is a
+    list of ints, or None when not given.
+    """
+    parser.add_argument(
+        "--jobs",
+        type=_jobs,
+        default=1,
+        metavar="N",
+        help=f"worker processes for {trials} (default: 1, serial)",
+    )
+    parser.add_argument(
+        "--seeds",
+        type=_seeds,
+        metavar="S1,S2,...",
+        help="comma-separated base seeds replacing the default; "
+        "the whole sweep is replicated per seed",
+    )

@@ -7,10 +7,13 @@ the operations every experiment's reporting needs:
 * selection — :meth:`where` / :meth:`group_by` over grid parameters;
 * sample series — :meth:`samples`, :meth:`percentile`, :meth:`cdf`,
   :meth:`histogram` (lists concatenated across trials);
-* scalar reduction — :meth:`total`, :meth:`mean`, :meth:`ci95`;
+* scalar reduction — :meth:`total`, :meth:`mean`;
 * reporting — a generic :meth:`format_table` plus JSON serialization
   (:meth:`to_json` / :meth:`from_json`) so any figure can be archived as
   machine-readable results and reloaded later.
+
+The text renderers every figure and scenario table uses,
+:func:`format_table` and :func:`format_cdf`, live here too.
 
 Aggregation is always performed in trial-index order, so a parallel run
 aggregates to exactly the same numbers as a serial one.
@@ -23,8 +26,7 @@ for Figs 7-8, CDFs for Figs 6/9/11) applied over merged trials.
 from __future__ import annotations
 
 import json
-import math
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.trial import TrialResult
 from repro.sim.metrics import CdfSeries, Histogram, percentile
@@ -104,19 +106,6 @@ class ResultSet:
     def percentile(self, name: str, pct: float) -> float:
         return percentile(self.samples(name), pct)
 
-    def ci95(self, name: str) -> Tuple[float, float]:
-        """Normal-approximation 95% confidence interval on the mean."""
-        values = self.samples(name)
-        if not values:
-            raise ValueError(f"no samples recorded under {name!r}")
-        n = len(values)
-        mean = sum(values) / n
-        if n == 1:
-            return (mean, mean)
-        var = sum((v - mean) ** 2 for v in values) / (n - 1)
-        half = 1.96 * math.sqrt(var / n)
-        return (mean - half, mean + half)
-
     def cdf(self, name: str, series_name: str = "") -> CdfSeries:
         return CdfSeries(series_name or name, self.samples(name))
 
@@ -144,8 +133,6 @@ class ResultSet:
         then each measurement reduced to a mean (scalars) or a median over
         the concatenated samples (lists).
         """
-        from repro.experiments.report import format_table as render
-
         axes = []
         for t in self.trials:
             for name in t.spec.params:
@@ -183,7 +170,7 @@ class ResultSet:
                 + (len(subset),)
             )
         headers = list(axes) + measurement_names + ["trials"]
-        return render(
+        return format_table(
             headers, rows, title=title or f"{self.experiment} — sweep summary"
         )
 
@@ -212,3 +199,46 @@ class ResultSet:
 
     def __repr__(self) -> str:
         return f"ResultSet({self.experiment!r}, trials={len(self.trials)})"
+
+
+def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = "") -> str:
+    """Monospace table with right-aligned numeric columns."""
+    str_rows: List[List[str]] = []
+    for row in rows:
+        str_rows.append([_cell(value) for value in row])
+    widths = [len(h) for h in headers]
+    for row in str_rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in str_rows:
+        lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
+    return "\n".join(lines)
+
+
+def _cell(value: object) -> str:
+    if isinstance(value, float):
+        if value == 0:
+            return "0"
+        if abs(value) >= 100:
+            return f"{value:.0f}"
+        if abs(value) >= 1:
+            return f"{value:.1f}"
+        return f"{value:.3f}"
+    return str(value)
+
+
+def format_cdf(name: str, points: Sequence[Tuple[float, float]], max_points: int = 12) -> str:
+    """Compact text rendering of a CDF: value@fraction pairs."""
+    if not points:
+        return f"{name}: (empty)"
+    step = max(1, len(points) // max_points)
+    sampled = points[::step]
+    if sampled[-1] != points[-1]:
+        sampled = list(sampled) + [points[-1]]
+    pairs = "  ".join(f"{v:.0f}@{f * 100:.0f}%" for v, f in sampled)
+    return f"{name}: {pairs}"

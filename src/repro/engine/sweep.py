@@ -3,7 +3,8 @@
 A :class:`Sweep` describes *what* to run — a cartesian product of named
 parameter axes, replicated over a set of base seeds — and expands into the
 flat, deterministically ordered list of :class:`~repro.engine.trial.TrialSpec`
-the executor consumes.
+the executor consumes.  :func:`run_sweep` is the one call every figure
+and scenario run makes: grid × seeds → trials → :class:`ResultSet`.
 
 Seed derivation is position-independent: a trial's seed depends only on
 the experiment name, the base seed, and the trial's own grid point — not
@@ -20,9 +21,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.engine.trial import TrialSpec
+from repro.engine.parallel import ResultSink, run_trials
+from repro.engine.results import ResultSet
+from repro.engine.trial import TrialFn, TrialSpec
 
 
 def derive_seed(*components: Any) -> int:
@@ -81,3 +84,27 @@ class Sweep:
                     )
                 )
         return specs
+
+
+def run_sweep(
+    experiment: str,
+    fn: TrialFn,
+    *,
+    seeds: Sequence[int],
+    grid: Optional[Mapping[str, Sequence[Any]]] = None,
+    context: Any = None,
+    jobs: int = 1,
+    on_result: Optional[ResultSink] = None,
+    keep_results: bool = True,
+) -> ResultSet:
+    """Run ``fn`` over every grid point × base seed and aggregate.
+
+    ``experiment`` names the run and is an input to every trial's derived
+    seed; ``context`` rides along on each spec; ``jobs``, ``on_result``
+    and ``keep_results`` go to :func:`~repro.engine.parallel.run_trials`.
+    """
+    specs = Sweep(grid=dict(grid or {}), seeds=tuple(seeds)).expand(experiment, context)
+    results = run_trials(
+        fn, specs, jobs=jobs, on_result=on_result, keep_results=keep_results
+    )
+    return ResultSet(results, experiment=experiment)

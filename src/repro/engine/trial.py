@@ -60,9 +60,6 @@ class TrialSpec:
     def __getitem__(self, name: str) -> Any:
         return self.params[name]
 
-    def get(self, name: str, default: Any = None) -> Any:
-        return self.params.get(name, default)
-
 
 @dataclass
 class TrialResult:

@@ -1,17 +1,21 @@
 """Experiment drivers reproducing every figure and table in the paper's
 evaluation (§7) plus the §4 application statistics.
 
-Each module exposes a config dataclass (with a scaled-down default that
-runs in seconds and a ``paper_scale()`` preset matching the paper's
-parameters), a module-level trial function plus ``sweep()`` declaration
-for the shared trial engine (:mod:`repro.engine`), and a
-``run(config, *, jobs=1, seeds=None)`` function returning a result
-object with ``rows()``, ``format_table()``, the paper's ``claims`` about
-it (:class:`repro.experiments.report.Claim`), and a ``result_set``
-(:class:`repro.engine.ResultSet`) for JSON archiving.  ``jobs`` fans the
-sweep's independent trials across worker processes with aggregate
-results identical to a serial run.  docs/FIGURES.md records every
-figure's paper-vs-measured comparison and claim verdicts.
+Each module has a config dataclass (with a scaled-down default that
+runs in seconds and, where the paper gives one, a ``paper_scale()``
+preset matching its parameters), a module-level trial function, and a
+result class built from the run's :class:`repro.engine.ResultSet`.  It
+declares its figure once, as a :class:`repro.experiments.report.Figure`
+(name, config, paper-scale preset, trial, grid, result class);
+``python -m repro.experiments.run`` lists what the modules declare.
+The declaration's ``run(config, *, jobs=1, seeds=None)`` — exported as
+the module's ``run`` — is one :func:`repro.engine.run_sweep` call, and
+returns the result: ``rows()``, ``format_table()``, the paper's
+``claims`` about it (:class:`repro.experiments.report.Claim`), and the
+``result_set`` for JSON archiving.  ``jobs`` fans the sweep's independent
+trials across worker processes with aggregate results identical to a
+serial run.  docs/FIGURES.md records every figure's paper-vs-measured
+comparison and claim verdicts.
 
 | Paper result | Module |
 |---|---|
@@ -27,7 +31,3 @@ figure's paper-vs-measured comparison and claim verdicts.
 | §3    agreement latency bound     | :mod:`repro.experiments.agreement` |
 | §5.1  topology ablation           | :mod:`repro.experiments.ablation` |
 """
-
-from repro.experiments.report import format_cdf, format_table
-
-__all__ = ["format_cdf", "format_table"]

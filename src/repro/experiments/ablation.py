@@ -20,10 +20,10 @@ grid (one world per cell), the repair study a two-point grid over
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import Claim, format_table
+from repro.engine import Measurements, ResultSet, TrialSpec
+from repro.experiments.report import Claim, Figure, FigureResult
 from repro.fuse.api import GroupLedger
 from repro.fuse.config import FuseConfig
 from repro.fuse.topologies import ALL_TO_ALL, DIRECT_TREE, DirectLinkFuse, Topology
@@ -31,9 +31,6 @@ from repro.net import MercatorConfig, Network, build_mercator_topology
 from repro.net.node import Host
 from repro.sim import Simulator
 from repro.world import FuseWorld
-
-TOPOLOGY_EXPERIMENT = "ablation-topologies"
-REPAIR_EXPERIMENT = "ablation-repair"
 
 TOPOLOGIES = ("overlay (paper)", "direct-tree", "all-to-all", "central")
 
@@ -47,7 +44,9 @@ class TopologyAblationConfig:
     seed: int = 11
 
 
-class TopologyAblationResult:
+class TopologyAblationResult(FigureResult):
+    title = ("§5.1 ablation — steady-state load vs group count "
+             "(overlay: flat; direct/all-to-all: grows; all-to-all fastest growth)")
     claims = (
         Claim("the overlay's load is flat in group count: growth under 1.3x",
               lambda r: r.growth("overlay (paper)") < 1.3),
@@ -58,10 +57,12 @@ class TopologyAblationResult:
               > r.load[("direct-tree", r.counts[-1])]),
     )
 
-    def __init__(self) -> None:
+    def __init__(self, rs: ResultSet, config: TopologyAblationConfig) -> None:
         # (topology, n_groups) -> msgs/sec
         self.load: Dict[Tuple[str, int], float] = {}
-        self.result_set: Optional[ResultSet] = None
+        for topology, by_topology in rs.group_by("topology").items():
+            for n_groups, cell in by_topology.group_by("n_groups").items():
+                self.load[(topology, n_groups)] = cell.mean("msgs_per_sec")
 
     @property
     def counts(self) -> List[int]:
@@ -79,13 +80,9 @@ class TopologyAblationResult:
             out.append(tuple(row))
         return out
 
-    def format_table(self) -> str:
-        return format_table(
-            ["topology"] + [f"{c} groups msg/s" for c in self.counts],
-            self.rows(),
-            title="§5.1 ablation — steady-state load vs group count "
-            "(overlay: flat; direct/all-to-all: grows; all-to-all fastest growth)",
-        )
+    @property
+    def headers(self) -> List[str]:
+        return ["topology"] + [f"{c} groups msg/s" for c in self.counts]
 
 
 def _run_overlay(n_nodes: int, n_groups: int, group_size: int,
@@ -152,30 +149,15 @@ def _topology_trial(spec: TrialSpec) -> Measurements:
     return {"msgs_per_sec": rate}
 
 
-def topology_sweep(
-    config: TopologyAblationConfig, seeds: Optional[Sequence[int]] = None
-) -> Sweep:
-    return Sweep(
-        grid={"topology": TOPOLOGIES, "n_groups": tuple(config.group_counts)},
-        seeds=tuple(seeds) if seeds else (config.seed,),
-    )
-
-
-def run_topology_ablation(
-    config: Optional[TopologyAblationConfig] = None,
-    *,
-    jobs: int = 1,
-    seeds: Optional[Sequence[int]] = None,
-) -> TopologyAblationResult:
-    config = config or TopologyAblationConfig()
-    specs = topology_sweep(config, seeds).expand(TOPOLOGY_EXPERIMENT, context=config)
-    rs = ResultSet(run_trials(_topology_trial, specs, jobs=jobs), experiment=TOPOLOGY_EXPERIMENT)
-    result = TopologyAblationResult()
-    for topology, by_topology in rs.group_by("topology").items():
-        for n_groups, cell in by_topology.group_by("n_groups").items():
-            result.load[(topology, n_groups)] = cell.mean("msgs_per_sec")
-    result.result_set = rs
-    return result
+TOPOLOGY_FIGURE = Figure(
+    name="ablation-topologies",
+    config=TopologyAblationConfig,
+    paper_scale=TopologyAblationConfig,  # no paper-scale preset
+    trial=_topology_trial,
+    result=TopologyAblationResult,
+    grid=lambda config: {"topology": TOPOLOGIES, "n_groups": tuple(config.group_counts)},
+)
+run_topology_ablation = TOPOLOGY_FIGURE.run
 
 
 @dataclass
@@ -188,7 +170,10 @@ class RepairAblationConfig:
     seed: int = 12
 
 
-class RepairAblationResult:
+class RepairAblationResult(FigureResult):
+    headers = ("mode", "groups", "false positives")
+    title = ("§6 ablation — repair vs signal-on-delegate-failure "
+             "(paper chose repair to avoid false positives)")
     claims = (
         Claim("with repair, delegate churn causes no false positives",
               lambda r: r.false_positives["repair-enabled"] == 0),
@@ -196,24 +181,19 @@ class RepairAblationResult:
               lambda r: r.false_positives["repair-disabled"] >= 1),
     )
 
-    def __init__(self) -> None:
+    def __init__(self, rs: ResultSet, config: RepairAblationConfig) -> None:
         self.false_positives: Dict[str, int] = {}
         self.groups: Dict[str, int] = {}
-        self.result_set: Optional[ResultSet] = None
+        for enabled, subset in rs.group_by("repair_enabled").items():
+            mode = "repair-enabled" if enabled else "repair-disabled"
+            self.groups[mode] = int(subset.total("groups"))
+            self.false_positives[mode] = int(subset.total("false_positives"))
 
     def rows(self) -> List[Tuple]:
         return [
             (mode, self.groups.get(mode, 0), self.false_positives.get(mode, 0))
             for mode in sorted(self.groups)
         ]
-
-    def format_table(self) -> str:
-        return format_table(
-            ["mode", "groups", "false positives"],
-            self.rows(),
-            title="§6 ablation — repair vs signal-on-delegate-failure "
-            "(paper chose repair to avoid false positives)",
-        )
 
 
 def _repair_trial(spec: TrialSpec) -> Measurements:
@@ -264,28 +244,12 @@ def _repair_trial(spec: TrialSpec) -> Measurements:
     return {"groups": len(group_members), "false_positives": false_positives}
 
 
-def repair_sweep(
-    config: RepairAblationConfig, seeds: Optional[Sequence[int]] = None
-) -> Sweep:
-    return Sweep(
-        grid={"repair_enabled": (True, False)},
-        seeds=tuple(seeds) if seeds else (config.seed,),
-    )
-
-
-def run_repair_ablation(
-    config: Optional[RepairAblationConfig] = None,
-    *,
-    jobs: int = 1,
-    seeds: Optional[Sequence[int]] = None,
-) -> RepairAblationResult:
-    config = config or RepairAblationConfig()
-    specs = repair_sweep(config, seeds).expand(REPAIR_EXPERIMENT, context=config)
-    rs = ResultSet(run_trials(_repair_trial, specs, jobs=jobs), experiment=REPAIR_EXPERIMENT)
-    result = RepairAblationResult()
-    for enabled, subset in rs.group_by("repair_enabled").items():
-        mode = "repair-enabled" if enabled else "repair-disabled"
-        result.groups[mode] = int(subset.total("groups"))
-        result.false_positives[mode] = int(subset.total("false_positives"))
-    result.result_set = rs
-    return result
+REPAIR_FIGURE = Figure(
+    name="ablation-repair",
+    config=RepairAblationConfig,
+    paper_scale=RepairAblationConfig,  # no paper-scale preset
+    trial=_repair_trial,
+    result=RepairAblationResult,
+    grid=lambda config: {"repair_enabled": (True, False)},
+)
+run_repair_ablation = REPAIR_FIGURE.run

@@ -18,14 +18,12 @@ verdict over many schedules concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
-from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import Claim, format_table
+from repro.engine import Measurements, ResultSet, TrialSpec
+from repro.experiments.report import Claim, Figure, FigureResult
 from repro.sim.metrics import Histogram
 from repro.world import FuseWorld
-
-EXPERIMENT = "agreement"
 
 
 @dataclass
@@ -38,7 +36,9 @@ class AgreementConfig:
     seed: int = 10
 
 
-class AgreementResult:
+class AgreementResult(FigureResult):
+    title = ("§3 — one-way agreement under adversarial faults "
+             "(paper: notifications never fail; bounded latency)")
     claims = (
         Claim("the fault schedule affects some groups", lambda r: r.groups_affected > 0),
         Claim("every live member of an affected group is notified", lambda r: r.missed == []),
@@ -47,13 +47,15 @@ class AgreementResult:
               lambda r: not len(r.notifications) or r.notifications.max() <= r.bound_minutes),
     )
 
-    def __init__(self, bound_minutes: float) -> None:
-        self.bound_minutes = bound_minutes
-        self.groups_affected = 0
+    def __init__(self, rs: ResultSet, config: AgreementConfig) -> None:
+        bounds = rs.scalars("bound_minutes")
+        self.bound_minutes = max(bounds) if bounds else 0.0
+        self.groups_affected = int(rs.total("groups_affected"))
         self.notifications = Histogram("agreement-latency-min")
-        self.missed: List[Tuple[str, int]] = []
-        self.duplicates: List[Tuple[str, int]] = []
-        self.result_set: Optional[ResultSet] = None
+        self.notifications.extend(rs.samples("latency_min"))
+        # Violations travel as flat "fid:node" strings (see _trial).
+        self.missed = [_decode(e) for e in rs.samples("missed")]
+        self.duplicates = [_decode(e) for e in rs.samples("duplicates")]
 
     def rows(self) -> List[Tuple]:
         rows = [
@@ -67,13 +69,10 @@ class AgreementResult:
             rows.append(("median latency (min)", self.notifications.pct(50)))
         return rows
 
-    def format_table(self) -> str:
-        return format_table(
-            ["metric", "value"],
-            self.rows(),
-            title="§3 — one-way agreement under adversarial faults "
-            "(paper: notifications never fail; bounded latency)",
-        )
+
+def _decode(entry: str) -> Tuple[str, int]:
+    fid, _, node = entry.rpartition(":")
+    return (fid, int(node))
 
 
 def _trial(spec: TrialSpec) -> Measurements:
@@ -176,29 +175,11 @@ def _trial(spec: TrialSpec) -> Measurements:
     }
 
 
-def sweep(config: AgreementConfig, seeds: Optional[Sequence[int]] = None) -> Sweep:
-    return Sweep(seeds=tuple(seeds) if seeds else (config.seed,))
-
-
-def run(
-    config: Optional[AgreementConfig] = None,
-    *,
-    jobs: int = 1,
-    seeds: Optional[Sequence[int]] = None,
-) -> AgreementResult:
-    config = config or AgreementConfig()
-    specs = sweep(config, seeds).expand(EXPERIMENT, context=config)
-    rs = ResultSet(run_trials(_trial, specs, jobs=jobs), experiment=EXPERIMENT)
-    bounds = rs.scalars("bound_minutes")
-    result = AgreementResult(bound_minutes=max(bounds) if bounds else 0.0)
-    result.groups_affected = int(rs.total("groups_affected"))
-
-    def decode(entry: str) -> Tuple[str, int]:
-        fid, _, node = entry.rpartition(":")
-        return (fid, int(node))
-
-    result.missed = [decode(e) for e in rs.samples("missed")]
-    result.duplicates = [decode(e) for e in rs.samples("duplicates")]
-    result.notifications.extend(rs.samples("latency_min"))
-    result.result_set = rs
-    return result
+FIGURE = Figure(
+    name="agreement",
+    config=AgreementConfig,
+    paper_scale=AgreementConfig,  # no paper-scale preset
+    trial=_trial,
+    result=AgreementResult,
+)
+run = FIGURE.run

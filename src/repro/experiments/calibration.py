@@ -20,15 +20,13 @@ whole measurement and their samples merge into the reported CDFs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
-from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import Claim, format_cdf, format_table
+from repro.engine import Measurements, ResultSet, TrialSpec, format_cdf
+from repro.experiments.report import Claim, Figure, FigureResult
 from repro.net import MercatorConfig, Network, build_mercator_topology
 from repro.net.node import Host, RpcReply, RpcRequest
-from repro.sim import CdfSeries, Simulator
-
-EXPERIMENT = "fig6"
+from repro.sim import Simulator
 
 
 class _CalPing(RpcRequest):
@@ -50,7 +48,9 @@ class CalibrationConfig:
         return cls(n_hosts=400, n_pairs=2400)
 
 
-class CalibrationResult:
+class CalibrationResult(FigureResult):
+    headers = ("percentile", "first RPC ms", "second RPC ms", "topology RTT ms")
+    title = "Fig 6 — RPC latency calibration (paper: median ~130 ms, first ~2x second)"
     claims = (
         Claim("the second RPC tracks the topology RTT: median within 1.5x",
               lambda r: r.second.value_at_fraction(0.5) <= 1.5 * r.rtt.value_at_fraction(0.5)),
@@ -61,11 +61,10 @@ class CalibrationResult:
               lambda r: 60.0 <= r.rtt.value_at_fraction(0.5) <= 400.0),
     )
 
-    def __init__(self, first: CdfSeries, second: CdfSeries, rtt: CdfSeries) -> None:
-        self.first = first
-        self.second = second
-        self.rtt = rtt
-        self.result_set: Optional[ResultSet] = None
+    def __init__(self, rs: ResultSet, config: CalibrationConfig) -> None:
+        self.first = rs.cdf("first_ms", "first-rpc")
+        self.second = rs.cdf("second_ms", "second-rpc")
+        self.rtt = rs.cdf("rtt_ms", "topology-rtt")
 
     def rows(self) -> List[tuple]:
         out = []
@@ -81,11 +80,7 @@ class CalibrationResult:
         return out
 
     def format_table(self) -> str:
-        table = format_table(
-            ["percentile", "first RPC ms", "second RPC ms", "topology RTT ms"],
-            self.rows(),
-            title="Fig 6 — RPC latency calibration (paper: median ~130 ms, first ~2x second)",
-        )
+        table = super().format_table()
         cdfs = "\n".join(
             format_cdf(name, series.points(max_points=60))
             for name, series in [
@@ -136,23 +131,11 @@ def _trial(spec: TrialSpec) -> Measurements:
     return {"first_ms": first, "second_ms": second, "rtt_ms": rtt}
 
 
-def sweep(config: CalibrationConfig, seeds: Optional[Sequence[int]] = None) -> Sweep:
-    return Sweep(seeds=tuple(seeds) if seeds else (config.seed,))
-
-
-def run(
-    config: Optional[CalibrationConfig] = None,
-    *,
-    jobs: int = 1,
-    seeds: Optional[Sequence[int]] = None,
-) -> CalibrationResult:
-    config = config or CalibrationConfig()
-    specs = sweep(config, seeds).expand(EXPERIMENT, context=config)
-    rs = ResultSet(run_trials(_trial, specs, jobs=jobs), experiment=EXPERIMENT)
-    result = CalibrationResult(
-        rs.cdf("first_ms", "first-rpc"),
-        rs.cdf("second_ms", "second-rpc"),
-        rs.cdf("rtt_ms", "topology-rtt"),
-    )
-    result.result_set = rs
-    return result
+FIGURE = Figure(
+    name="fig6",
+    config=CalibrationConfig,
+    paper_scale=CalibrationConfig.paper_scale,
+    trial=_trial,
+    result=CalibrationResult,
+)
+run = FIGURE.run

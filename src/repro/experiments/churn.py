@@ -19,7 +19,8 @@ Engine decomposition: the three measurements are a three-point grid over
 under ``--jobs``.
 
 Since the scenario layer landed, this module is a thin wrapper: each
-grid point builds the matching declarative scenario
+grid point builds the matching declarative scenario from its
+:class:`~repro.scenarios.ChurnConfig`
 (:func:`repro.scenarios.fig10_scenario` — a Poisson churn track with the
 paper's pre-killed steady-state population, plus a root-observed group
 workload for the ``churn-fuse`` variant) and executes it.  Stream names
@@ -29,34 +30,18 @@ sequence, so measurements are unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import Claim, format_table
-from repro.scenarios import execute, fig10_scenario
-
-EXPERIMENT = "fig10"
+from repro.engine import Measurements, ResultSet, TrialSpec
+from repro.experiments.report import Claim, Figure, FigureResult
+from repro.scenarios import ChurnConfig, execute, fig10_scenario
 
 SCENARIOS = ("stable", "churn", "churn-fuse")
 
 
-@dataclass
-class ChurnConfig:
-    n_stable: int = 50
-    n_churning: int = 50
-    n_groups: int = 25
-    group_size: int = 10
-    window_minutes: float = 10.0
-    half_life_minutes: float = 30.0
-    seed: int = 6
-
-    @classmethod
-    def paper_scale(cls) -> "ChurnConfig":
-        return cls(n_stable=200, n_churning=200, n_groups=100, window_minutes=10.0)
-
-
-class ChurnResult:
+class ChurnResult(FigureResult):
+    title = ("Fig 10 — churn message load (paper: 238 / 270 / 523 msg/s; "
+             "churn +13%, FUSE under churn +94%, zero false positives)")
     claims = (
         Claim("churn adds overlay load", lambda r: r.churn_msgs_per_sec > r.stable_msgs_per_sec),
         Claim("FUSE groups under churn add more than 15% (tree reinstallation)",
@@ -64,13 +49,12 @@ class ChurnResult:
         Claim("churn causes no false positives", lambda r: r.false_positives == 0),
     )
 
-    def __init__(self) -> None:
-        self.stable_msgs_per_sec: float = 0.0
-        self.churn_msgs_per_sec: float = 0.0
-        self.churn_fuse_msgs_per_sec: float = 0.0
-        self.false_positives: int = 0
-        self.groups_created: int = 0
-        self.result_set: Optional[ResultSet] = None
+    def __init__(self, rs: ResultSet, config: ChurnConfig) -> None:
+        self.stable_msgs_per_sec = rs.where(scenario="stable").mean("msgs_per_sec")
+        self.churn_msgs_per_sec = rs.where(scenario="churn").mean("msgs_per_sec")
+        self.churn_fuse_msgs_per_sec = rs.where(scenario="churn-fuse").mean("msgs_per_sec")
+        self.false_positives = int(rs.total("false_positives"))
+        self.groups_created = int(rs.total("groups_created"))
 
     def rows(self) -> List[Tuple]:
         churn_pct = (
@@ -93,14 +77,6 @@ class ChurnResult:
             ("groups", self.groups_created),
         ]
 
-    def format_table(self) -> str:
-        return format_table(
-            ["metric", "value"],
-            self.rows(),
-            title="Fig 10 — churn message load (paper: 238 / 270 / 523 msg/s; "
-            "churn +13%, FUSE under churn +94%, zero false positives)",
-        )
-
 
 def _trial(spec: TrialSpec) -> Measurements:
     config: ChurnConfig = spec.context
@@ -114,27 +90,12 @@ def _trial(spec: TrialSpec) -> Measurements:
     }
 
 
-def sweep(config: ChurnConfig, seeds: Optional[Sequence[int]] = None) -> Sweep:
-    return Sweep(
-        grid={"scenario": SCENARIOS},
-        seeds=tuple(seeds) if seeds else (config.seed,),
-    )
-
-
-def run(
-    config: Optional[ChurnConfig] = None,
-    *,
-    jobs: int = 1,
-    seeds: Optional[Sequence[int]] = None,
-) -> ChurnResult:
-    config = config or ChurnConfig()
-    specs = sweep(config, seeds).expand(EXPERIMENT, context=config)
-    rs = ResultSet(run_trials(_trial, specs, jobs=jobs), experiment=EXPERIMENT)
-    result = ChurnResult()
-    result.stable_msgs_per_sec = rs.where(scenario="stable").mean("msgs_per_sec")
-    result.churn_msgs_per_sec = rs.where(scenario="churn").mean("msgs_per_sec")
-    result.churn_fuse_msgs_per_sec = rs.where(scenario="churn-fuse").mean("msgs_per_sec")
-    result.false_positives = int(rs.total("false_positives"))
-    result.groups_created = int(rs.total("groups_created"))
-    result.result_set = rs
-    return result
+FIGURE = Figure(
+    name="fig10",
+    config=ChurnConfig,
+    paper_scale=ChurnConfig.paper_scale,
+    trial=_trial,
+    result=ChurnResult,
+    grid=lambda config: {"scenario": SCENARIOS},
+)
+run = FIGURE.run

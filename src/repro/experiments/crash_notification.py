@@ -18,7 +18,8 @@ CDFs merge.  ``run(..., seeds=[...])`` (or ``--seeds`` on the CLI) turns
 this figure into an embarrassingly parallel fan-out.
 
 Since the scenario layer landed, this module is a thin wrapper: the
-trial builds the declarative ``paper-fig9`` scenario
+trial builds the declarative ``paper-fig9`` scenario from its
+:class:`~repro.scenarios.CrashConfig`
 (:func:`repro.scenarios.fig9_scenario` — a group workload plus a
 disconnect wave sharing the ``crash-workload`` RNG stream) and executes
 it.  The scenario reproduces the original hand-written loop's draw
@@ -27,32 +28,16 @@ order and event schedule exactly, so measurements are unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import Claim, format_cdf, format_table
-from repro.scenarios import execute, fig9_scenario
-from repro.sim import CdfSeries
-
-EXPERIMENT = "fig9"
+from repro.engine import Measurements, ResultSet, TrialSpec, format_cdf
+from repro.experiments.report import Claim, Figure, FigureResult
+from repro.scenarios import CrashConfig, execute, fig9_scenario
 
 
-@dataclass
-class CrashConfig:
-    n_nodes: int = 100
-    n_groups: int = 100
-    group_size: int = 5
-    n_disconnected: int = 4
-    observe_minutes: float = 12.0
-    seed: int = 4
-
-    @classmethod
-    def paper_scale(cls) -> "CrashConfig":
-        return cls(n_nodes=400, n_groups=400, group_size=5, n_disconnected=10)
-
-
-class CrashResult:
+class CrashResult(FigureResult):
+    title = ("Fig 9 — crash notification latency "
+             "(paper: 42/400 groups affected, 163 notifications, 0.3-4 min)")
     claims = (
         Claim("the disconnects affect some groups", lambda r: r.groups_affected > 0),
         Claim("every live member of every affected group is notified",
@@ -63,13 +48,12 @@ class CrashResult:
               lambda r: r.latency.value_at_fraction(0.25) >= 0.1),
     )
 
-    def __init__(self) -> None:
-        self.latency = CdfSeries("crash-notification-minutes")
-        self.groups_created = 0
-        self.groups_affected = 0
-        self.notifications_expected = 0
-        self.notifications_delivered = 0
-        self.result_set: Optional[ResultSet] = None
+    def __init__(self, rs: ResultSet, config: CrashConfig) -> None:
+        self.latency = rs.cdf("latency_min", "crash-notification-minutes")
+        self.groups_created = int(rs.total("groups_created"))
+        self.groups_affected = int(rs.total("groups_affected"))
+        self.notifications_expected = int(rs.total("notifications_expected"))
+        self.notifications_delivered = int(rs.total("notifications_delivered"))
 
     def rows(self) -> List[Tuple]:
         rows = [
@@ -86,12 +70,7 @@ class CrashResult:
         return rows
 
     def format_table(self) -> str:
-        table = format_table(
-            ["metric", "value"],
-            self.rows(),
-            title="Fig 9 — crash notification latency "
-            "(paper: 42/400 groups affected, 163 notifications, 0.3-4 min)",
-        )
+        table = super().format_table()
         if len(self.latency):
             table += "\n" + format_cdf("minutes-cdf", self.latency.points(40))
         return table
@@ -109,24 +88,11 @@ def _trial(spec: TrialSpec) -> Measurements:
     }
 
 
-def sweep(config: CrashConfig, seeds: Optional[Sequence[int]] = None) -> Sweep:
-    return Sweep(seeds=tuple(seeds) if seeds else (config.seed,))
-
-
-def run(
-    config: Optional[CrashConfig] = None,
-    *,
-    jobs: int = 1,
-    seeds: Optional[Sequence[int]] = None,
-) -> CrashResult:
-    config = config or CrashConfig()
-    specs = sweep(config, seeds).expand(EXPERIMENT, context=config)
-    rs = ResultSet(run_trials(_trial, specs, jobs=jobs), experiment=EXPERIMENT)
-    result = CrashResult()
-    result.latency = rs.cdf("latency_min", "crash-notification-minutes")
-    result.groups_created = int(rs.total("groups_created"))
-    result.groups_affected = int(rs.total("groups_affected"))
-    result.notifications_expected = int(rs.total("notifications_expected"))
-    result.notifications_delivered = int(rs.total("notifications_delivered"))
-    result.result_set = rs
-    return result
+FIGURE = Figure(
+    name="fig9",
+    config=CrashConfig,
+    paper_scale=CrashConfig.paper_scale,
+    trial=_trial,
+    result=CrashResult,
+)
+run = FIGURE.run

@@ -15,14 +15,11 @@ five sizes regenerate concurrently under ``--jobs``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import Claim, format_table
-from repro.sim.metrics import Histogram
+from repro.engine import Measurements, ResultSet, TrialSpec
+from repro.experiments.report import Claim, Figure, FigureResult
 from repro.world import FuseWorld
-
-EXPERIMENT = "fig7"
 
 
 @dataclass
@@ -37,7 +34,10 @@ class CreationConfig:
         return cls(n_nodes=400, groups_per_size=20)
 
 
-class CreationResult:
+class CreationResult(FigureResult):
+    headers = ("group size", "p25 ms", "median ms", "p75 ms", "max ms", "n")
+    title = ("Fig 7 — group creation latency vs size "
+             "(paper: grows with size; ~0.4-3 s at 400 nodes)")
     claims = (
         Claim("every group creates", lambda r: r.failures == 0),
         Claim("size-32 groups create slower than pairs (median)",
@@ -49,10 +49,12 @@ class CreationResult:
               <= 0.6 * r.by_size[32].pct(50) + 100.0),
     )
 
-    def __init__(self) -> None:
-        self.by_size: Dict[int, Histogram] = {}
-        self.failures: int = 0
-        self.result_set: Optional[ResultSet] = None
+    def __init__(self, rs: ResultSet, config: CreationConfig) -> None:
+        self.by_size = {
+            size: subset.histogram("latency_ms", f"create-{size}")
+            for size, subset in rs.group_by("group_size").items()
+        }
+        self.failures = int(rs.total("failures"))
 
     def rows(self) -> List[Tuple]:
         out = []
@@ -61,14 +63,6 @@ class CreationResult:
             s = hist.summary()
             out.append((size, s["p25"], s["p50"], s["p75"], s["max"], int(s["count"])))
         return out
-
-    def format_table(self) -> str:
-        return format_table(
-            ["group size", "p25 ms", "median ms", "p75 ms", "max ms", "n"],
-            self.rows(),
-            title="Fig 7 — group creation latency vs size "
-            "(paper: grows with size; ~0.4-3 s at 400 nodes)",
-        )
 
 
 def _trial(spec: TrialSpec) -> Measurements:
@@ -89,25 +83,12 @@ def _trial(spec: TrialSpec) -> Measurements:
     return {"latency_ms": latencies, "failures": failures}
 
 
-def sweep(config: CreationConfig, seeds: Optional[Sequence[int]] = None) -> Sweep:
-    return Sweep(
-        grid={"group_size": tuple(config.group_sizes)},
-        seeds=tuple(seeds) if seeds else (config.seed,),
-    )
-
-
-def run(
-    config: Optional[CreationConfig] = None,
-    *,
-    jobs: int = 1,
-    seeds: Optional[Sequence[int]] = None,
-) -> CreationResult:
-    config = config or CreationConfig()
-    specs = sweep(config, seeds).expand(EXPERIMENT, context=config)
-    rs = ResultSet(run_trials(_trial, specs, jobs=jobs), experiment=EXPERIMENT)
-    result = CreationResult()
-    for size, subset in rs.group_by("group_size").items():
-        result.by_size[size] = subset.histogram("latency_ms", f"create-{size}")
-    result.failures = int(rs.total("failures"))
-    result.result_set = rs
-    return result
+FIGURE = Figure(
+    name="fig7",
+    config=CreationConfig,
+    paper_scale=CreationConfig.paper_scale,
+    trial=_trial,
+    result=CreationResult,
+    grid=lambda config: {"group_size": tuple(config.group_sizes)},
+)
+run = FIGURE.run

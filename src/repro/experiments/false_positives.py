@@ -19,13 +19,11 @@ measurement pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import Claim, format_table
+from repro.engine import Measurements, ResultSet, TrialSpec
+from repro.experiments.report import Claim, Figure, FigureResult
 from repro.world import FuseWorld
-
-EXPERIMENT = "fig12"
 
 
 @dataclass
@@ -42,7 +40,9 @@ class FalsePositivesConfig:
         return cls(n_nodes=400, groups_per_size=20)
 
 
-class FalsePositivesResult:
+class FalsePositivesResult(FigureResult):
+    title = ("Fig 12 — group failures due to packet loss "
+             "(paper: none at 0/5.8% median route loss, some at 11.4/21.5%)")
     claims = (
         Claim("no group fails without loss",
               lambda r: all(r.failure_pct(0.0, s) == 0.0 for s in r.sizes)),
@@ -54,11 +54,17 @@ class FalsePositivesResult:
               lambda r: r.failure_pct(0.016, max(r.sizes)) >= r.failure_pct(0.016, 2)),
     )
 
-    def __init__(self) -> None:
+    def __init__(self, rs: ResultSet, config: FalsePositivesConfig) -> None:
         # per (per_link_loss, size): (groups_failed, groups_total)
         self.outcomes: Dict[Tuple[float, int], Tuple[int, int]] = {}
         self.median_route_loss: Dict[float, float] = {}
-        self.result_set: Optional[ResultSet] = None
+        for per_link, subset in rs.group_by("per_link_loss").items():
+            self.median_route_loss[per_link] = subset.mean("median_route_loss")
+            for size in config.group_sizes:
+                failed = int(subset.total(f"failed[{size}]"))
+                total = int(subset.total(f"total[{size}]"))
+                if total:
+                    self.outcomes[(per_link, size)] = (failed, total)
 
     def failure_pct(self, per_link: float, size: int) -> float:
         failed, total = self.outcomes.get((per_link, size), (0, 0))
@@ -79,13 +85,9 @@ class FalsePositivesResult:
             out.append(tuple(row))
         return out
 
-    def format_table(self) -> str:
-        return format_table(
-            ["per-link", "median route"] + [f"size {s} fail%" for s in self.sizes],
-            self.rows(),
-            title="Fig 12 — group failures due to packet loss "
-            "(paper: none at 0/5.8% median route loss, some at 11.4/21.5%)",
-        )
+    @property
+    def headers(self) -> List[str]:
+        return ["per-link", "median route"] + [f"size {s} fail%" for s in self.sizes]
 
 
 def _trial(spec: TrialSpec) -> Measurements:
@@ -125,29 +127,12 @@ def _trial(spec: TrialSpec) -> Measurements:
     return measurements
 
 
-def sweep(config: FalsePositivesConfig, seeds: Optional[Sequence[int]] = None) -> Sweep:
-    return Sweep(
-        grid={"per_link_loss": tuple(config.per_link_loss)},
-        seeds=tuple(seeds) if seeds else (config.seed,),
-    )
-
-
-def run(
-    config: Optional[FalsePositivesConfig] = None,
-    *,
-    jobs: int = 1,
-    seeds: Optional[Sequence[int]] = None,
-) -> FalsePositivesResult:
-    config = config or FalsePositivesConfig()
-    specs = sweep(config, seeds).expand(EXPERIMENT, context=config)
-    rs = ResultSet(run_trials(_trial, specs, jobs=jobs), experiment=EXPERIMENT)
-    result = FalsePositivesResult()
-    for per_link, subset in rs.group_by("per_link_loss").items():
-        result.median_route_loss[per_link] = subset.mean("median_route_loss")
-        for size in config.group_sizes:
-            failed = int(subset.total(f"failed[{size}]"))
-            total = int(subset.total(f"total[{size}]"))
-            if total:
-                result.outcomes[(per_link, size)] = (failed, total)
-    result.result_set = rs
-    return result
+FIGURE = Figure(
+    name="fig12",
+    config=FalsePositivesConfig,
+    paper_scale=FalsePositivesConfig.paper_scale,
+    trial=_trial,
+    result=FalsePositivesResult,
+    grid=lambda config: {"per_link_loss": tuple(config.per_link_loss)},
+)
+run = FIGURE.run

@@ -17,14 +17,12 @@ comparable — exactly as if one topology had been measured three times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import Claim, format_cdf, format_table
+from repro.engine import Measurements, ResultSet, TrialSpec, format_cdf
+from repro.experiments.report import Claim, Figure, FigureResult
 from repro.net import MercatorConfig, Network, build_mercator_topology
 from repro.sim import CdfSeries, Simulator
-
-EXPERIMENT = "fig11"
 
 
 @dataclass
@@ -39,7 +37,10 @@ class LossRatesConfig:
         return cls()  # this experiment is cheap enough to run full-scale
 
 
-class LossRatesResult:
+class LossRatesResult(FigureResult):
+    headers = ("per-link loss", "route p25 %", "route median %", "route p75 %", "route p95 %")
+    title = ("Fig 11 — per-route loss CDFs "
+             "(paper medians: 5.8% / 11.4% / 21.5%; median route 15 hops)")
     claims = (
         Claim("0.4% per-link loss gives a median route loss of 5.8% +/- 2.5 points",
               lambda r: abs(r.route_loss[0.004].value_at_fraction(0.5) - 0.058) <= 0.025),
@@ -51,10 +52,17 @@ class LossRatesResult:
               lambda r: 8 <= r.hop_counts.value_at_fraction(0.5) <= 22),
     )
 
-    def __init__(self) -> None:
-        self.route_loss: Dict[float, CdfSeries] = {}
+    def __init__(self, rs: ResultSet, config: LossRatesConfig) -> None:
+        self.route_loss = {
+            per_link: subset.cdf("route_loss", f"loss-{per_link}")
+            for per_link, subset in rs.group_by("per_link_loss").items()
+        }
+        # All trials of one seed share a pair sample; use the first grid
+        # point's trials so hops are not multiple-counted per loss rate.
         self.hop_counts = CdfSeries("hops")
-        self.result_set: Optional[ResultSet] = None
+        first_axis = rs.axis("per_link_loss")
+        if first_axis:
+            self.hop_counts = rs.where(per_link_loss=first_axis[0]).cdf("hops", "hops")
 
     def rows(self) -> List[Tuple]:
         out = []
@@ -72,12 +80,7 @@ class LossRatesResult:
         return out
 
     def format_table(self) -> str:
-        table = format_table(
-            ["per-link loss", "route p25 %", "route median %", "route p75 %", "route p95 %"],
-            self.rows(),
-            title="Fig 11 — per-route loss CDFs "
-            "(paper medians: 5.8% / 11.4% / 21.5%; median route 15 hops)",
-        )
+        table = super().format_table()
         table += "\nhops: median %.0f, min %.0f, max %.0f" % (
             self.hop_counts.value_at_fraction(0.5),
             self.hop_counts.value_at_fraction(0.001),
@@ -113,29 +116,12 @@ def _trial(spec: TrialSpec) -> Measurements:
     return {"route_loss": route_loss, "hops": hops}
 
 
-def sweep(config: LossRatesConfig, seeds: Optional[Sequence[int]] = None) -> Sweep:
-    return Sweep(
-        grid={"per_link_loss": tuple(config.per_link_loss)},
-        seeds=tuple(seeds) if seeds else (config.seed,),
-    )
-
-
-def run(
-    config: Optional[LossRatesConfig] = None,
-    *,
-    jobs: int = 1,
-    seeds: Optional[Sequence[int]] = None,
-) -> LossRatesResult:
-    config = config or LossRatesConfig()
-    specs = sweep(config, seeds).expand(EXPERIMENT, context=config)
-    rs = ResultSet(run_trials(_trial, specs, jobs=jobs), experiment=EXPERIMENT)
-    result = LossRatesResult()
-    for per_link, subset in rs.group_by("per_link_loss").items():
-        result.route_loss[per_link] = subset.cdf("route_loss", f"loss-{per_link}")
-    # All trials of one seed share a pair sample; use the first grid
-    # point's trials so hops are not multiple-counted per loss rate.
-    first_axis = rs.axis("per_link_loss")
-    if first_axis:
-        result.hop_counts = rs.where(per_link_loss=first_axis[0]).cdf("hops", "hops")
-    result.result_set = rs
-    return result
+FIGURE = Figure(
+    name="fig11",
+    config=LossRatesConfig,
+    paper_scale=LossRatesConfig.paper_scale,
+    trial=_trial,
+    result=LossRatesResult,
+    grid=lambda config: {"per_link_loss": tuple(config.per_link_loss)},
+)
+run = FIGURE.run

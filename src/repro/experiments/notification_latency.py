@@ -17,14 +17,11 @@ bootstrapped world.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import Claim, format_table
-from repro.sim.metrics import Histogram
+from repro.engine import Measurements, ResultSet, TrialSpec
+from repro.experiments.report import Claim, Figure, FigureResult
 from repro.world import FuseWorld
-
-EXPERIMENT = "fig8"
 
 
 @dataclass
@@ -39,7 +36,11 @@ class NotificationConfig:
         return cls(n_nodes=400, groups_per_size=20)
 
 
-class NotificationResult:
+class NotificationResult(FigureResult):
+    headers = ("group size", "member p25 ms", "member p50 ms", "member p75 ms",
+               "group p50 ms", "group max ms")
+    title = ("Fig 8 — explicitly signalled notification latency "
+             "(paper: well under creation latency; max 1165 ms)")
     claims = (
         Claim("every group size hears its notifications",
               lambda r: all(h.count > 0 for h in r.group_latency.values())),
@@ -52,12 +53,18 @@ class NotificationResult:
               lambda r: r.member_latency[2].pct(50) <= r.member_latency[8].pct(50) * 1.5),
     )
 
-    def __init__(self) -> None:
+    def __init__(self, rs: ResultSet, config: NotificationConfig) -> None:
+        by_size = rs.group_by("group_size")
         # Latency until the LAST member hears (per group).
-        self.group_latency: Dict[int, Histogram] = {}
+        self.group_latency = {
+            size: subset.histogram("group_ms", f"group-{size}")
+            for size, subset in by_size.items()
+        }
         # Latency of each individual member notification.
-        self.member_latency: Dict[int, Histogram] = {}
-        self.result_set: Optional[ResultSet] = None
+        self.member_latency = {
+            size: subset.histogram("member_ms", f"member-{size}")
+            for size, subset in by_size.items()
+        }
 
     def rows(self) -> List[Tuple]:
         out = []
@@ -66,21 +73,6 @@ class NotificationResult:
             m = self.member_latency[size].summary()
             out.append((size, m["p25"], m["p50"], m["p75"], g["p50"], g["max"]))
         return out
-
-    def format_table(self) -> str:
-        return format_table(
-            [
-                "group size",
-                "member p25 ms",
-                "member p50 ms",
-                "member p75 ms",
-                "group p50 ms",
-                "group max ms",
-            ],
-            self.rows(),
-            title="Fig 8 — explicitly signalled notification latency "
-            "(paper: well under creation latency; max 1165 ms)",
-        )
 
 
 def _trial(spec: TrialSpec) -> Measurements:
@@ -116,25 +108,12 @@ def _trial(spec: TrialSpec) -> Measurements:
     return {"member_ms": member_ms, "group_ms": group_ms}
 
 
-def sweep(config: NotificationConfig, seeds: Optional[Sequence[int]] = None) -> Sweep:
-    return Sweep(
-        grid={"group_size": tuple(config.group_sizes)},
-        seeds=tuple(seeds) if seeds else (config.seed,),
-    )
-
-
-def run(
-    config: Optional[NotificationConfig] = None,
-    *,
-    jobs: int = 1,
-    seeds: Optional[Sequence[int]] = None,
-) -> NotificationResult:
-    config = config or NotificationConfig()
-    specs = sweep(config, seeds).expand(EXPERIMENT, context=config)
-    rs = ResultSet(run_trials(_trial, specs, jobs=jobs), experiment=EXPERIMENT)
-    result = NotificationResult()
-    for size, subset in rs.group_by("group_size").items():
-        result.group_latency[size] = subset.histogram("group_ms", f"group-{size}")
-        result.member_latency[size] = subset.histogram("member_ms", f"member-{size}")
-    result.result_set = rs
-    return result
+FIGURE = Figure(
+    name="fig8",
+    config=NotificationConfig,
+    paper_scale=NotificationConfig.paper_scale,
+    trial=_trial,
+    result=NotificationResult,
+    grid=lambda config: {"group_size": tuple(config.group_sizes)},
+)
+run = FIGURE.run

@@ -1,14 +1,20 @@
-"""Plain-text rendering of experiment results, and the paper's claims.
+"""Figure declarations, the paper's claims, and their report.
 
-The paper's figures are bar charts and CDFs; ``experiments.run`` prints
-them as aligned text tables / (value, fraction) series, with a PASS/FAIL
-line per paper claim, so results live in the terminal and docs/FIGURES.md.
+Each driver module declares its figure once, as a :class:`Figure`: the
+experiment name, the config and its paper-scale preset, the trial
+function, the grid and the result class.  ``experiments.run`` builds its
+registry from those declarations.  The paper's figures are bar charts and
+CDFs; ``experiments.run`` prints them as aligned text tables /
+(value, fraction) series, with a PASS/FAIL line per paper claim, so
+results live in the terminal and docs/FIGURES.md.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
+
+from repro.engine import ResultSet, TrialFn, format_table, run_sweep
 
 
 @dataclass(frozen=True)
@@ -18,6 +24,53 @@ class Claim:
     text: str
     holds: Callable[..., bool]
     needs: str = ""
+
+
+class FigureResult:
+    """What every figure's result shares: ``rows()`` rendered under
+    ``headers`` and ``title``, the paper's ``claims``, and the
+    ``result_set`` the figure was aggregated from."""
+
+    headers: Sequence[str] = ("metric", "value")
+    title: str = ""
+    claims: Tuple[Claim, ...] = ()
+    result_set: Optional[ResultSet] = None
+
+    def rows(self) -> List[Tuple]:
+        raise NotImplementedError
+
+    def format_table(self) -> str:
+        return format_table(self.headers, self.rows(), title=self.title)
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One paper figure or table, declared once.
+
+    ``name`` is the experiment name (an input to every trial's derived
+    seed); ``config`` and ``paper_scale`` build the default and the
+    paper-scale config; ``grid`` maps a config to the sweep's axes;
+    ``result`` builds the figure's result from the run's
+    :class:`ResultSet` and the config.
+    """
+
+    name: str
+    config: Callable[[], Any]
+    paper_scale: Callable[[], Any]
+    trial: TrialFn
+    result: Callable[[ResultSet, Any], FigureResult]
+    grid: Callable[[Any], Mapping[str, Sequence[Any]]] = lambda config: {}
+
+    def run(self, config: Any = None, *, jobs: int = 1,
+            seeds: Optional[Sequence[int]] = None) -> FigureResult:
+        """Run the sweep (one trial per grid point × seed, the config's
+        seed by default) and aggregate it; ``jobs`` does not change the result."""
+        config = config or self.config()
+        rs = run_sweep(self.name, self.trial, grid=self.grid(config),
+                       seeds=seeds or (config.seed,), context=config, jobs=jobs)
+        result = self.result(rs, config)
+        result.result_set = rs
+        return result
 
 
 def format_report(result, others: Optional[Mapping[str, object]] = None) -> str:
@@ -30,46 +83,3 @@ def format_report(result, others: Optional[Mapping[str, object]] = None) -> str:
         extra = (others[claim.needs],) if claim.needs else ()
         lines.append(f"{'PASS' if claim.holds(result, *extra) else 'FAIL'}  {claim.text}")
     return "\n".join(lines)
-
-
-def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = "") -> str:
-    """Monospace table with right-aligned numeric columns."""
-    str_rows: List[List[str]] = []
-    for row in rows:
-        str_rows.append([_cell(value) for value in row])
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in str_rows:
-        lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
-
-
-def _cell(value: object) -> str:
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 100:
-            return f"{value:.0f}"
-        if abs(value) >= 1:
-            return f"{value:.1f}"
-        return f"{value:.3f}"
-    return str(value)
-
-
-def format_cdf(name: str, points: Sequence[Tuple[float, float]], max_points: int = 12) -> str:
-    """Compact text rendering of a CDF: value@fraction pairs."""
-    if not points:
-        return f"{name}: (empty)"
-    step = max(1, len(points) // max_points)
-    sampled = points[::step]
-    if sampled[-1] != points[-1]:
-        sampled = list(sampled) + [points[-1]]
-    pairs = "  ".join(f"{v:.0f}@{f * 100:.0f}%" for v, f in sampled)
-    return f"{name}: {pairs}"

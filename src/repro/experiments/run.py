@@ -30,8 +30,9 @@ import dataclasses
 import json
 import pathlib
 import sys
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.engine import add_run_options
 from repro.net.backends.wallclock import wall_seconds
 from repro.experiments import (
     ablation,
@@ -46,72 +47,27 @@ from repro.experiments import (
     steady_state,
     svtree_stats,
 )
-from repro.experiments.report import format_report
+from repro.experiments.report import Figure, format_report
 
-# name -> (module.run, default config factory, paper-scale config factory)
-EXPERIMENTS: Dict[str, Tuple[Callable, Callable, Callable]] = {
-    "fig6": (
-        calibration.run,
-        calibration.CalibrationConfig,
-        calibration.CalibrationConfig.paper_scale,
-    ),
-    "fig7": (
-        creation_latency.run,
-        creation_latency.CreationConfig,
-        creation_latency.CreationConfig.paper_scale,
-    ),
-    "fig8": (
-        notification_latency.run,
-        notification_latency.NotificationConfig,
-        notification_latency.NotificationConfig.paper_scale,
-    ),
-    "fig9": (
-        crash_notification.run,
-        crash_notification.CrashConfig,
-        crash_notification.CrashConfig.paper_scale,
-    ),
-    "fig10": (churn.run, churn.ChurnConfig, churn.ChurnConfig.paper_scale),
-    "fig11": (
-        loss_rates.run,
-        loss_rates.LossRatesConfig,
-        loss_rates.LossRatesConfig.paper_scale,
-    ),
-    "fig12": (
-        false_positives.run,
-        false_positives.FalsePositivesConfig,
-        false_positives.FalsePositivesConfig.paper_scale,
-    ),
-    "steady-state": (
-        steady_state.run,
-        steady_state.SteadyStateConfig,
-        steady_state.SteadyStateConfig.paper_scale,
-    ),
-    "svtree": (
-        svtree_stats.run,
-        svtree_stats.SvtreeStatsConfig,
-        svtree_stats.SvtreeStatsConfig.paper_scale,
-    ),
-    "agreement": (agreement.run, agreement.AgreementConfig, agreement.AgreementConfig),
-    "ablation-topologies": (
-        ablation.run_topology_ablation,
-        ablation.TopologyAblationConfig,
-        ablation.TopologyAblationConfig,
-    ),
-    "ablation-repair": (
-        ablation.run_repair_ablation,
-        ablation.RepairAblationConfig,
-        ablation.RepairAblationConfig,
-    ),
+#: name -> Figure: every figure the driver modules declare.
+EXPERIMENTS: Dict[str, Figure] = {
+    figure.name: figure
+    for module in (
+        ablation,
+        agreement,
+        calibration,
+        crash_notification,
+        creation_latency,
+        churn,
+        false_positives,
+        loss_rates,
+        notification_latency,
+        steady_state,
+        svtree_stats,
+    )
+    for figure in vars(module).values()
+    if isinstance(figure, Figure)
 }
-
-
-def _parse_seeds(text: Optional[str]) -> Optional[List[int]]:
-    if not text:
-        return None
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise SystemExit(f"--seeds expects comma-separated integers: {exc}")
 
 
 def run_one(
@@ -123,10 +79,10 @@ def run_one(
     others: Optional[Mapping[str, object]] = None,
 ) -> Tuple[str, object]:
     """Run one experiment; returns (rendered output, result object)."""
-    runner, default_cfg, paper_cfg = EXPERIMENTS[name]
-    config = paper_cfg() if paper_scale else default_cfg()
+    figure = EXPERIMENTS[name]
+    config = figure.paper_scale() if paper_scale else figure.config()
     started = wall_seconds()
-    result = runner(config, jobs=jobs, seeds=seeds)
+    result = figure.run(config, jobs=jobs, seeds=seeds)
     elapsed = wall_seconds() - started
     if as_json:
         payload = result.result_set.to_json_dict()
@@ -158,19 +114,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="use the paper's full parameters (slow)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for independent trials (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--seeds",
-        metavar="S1,S2,...",
-        help="comma-separated base seeds replacing the config default; "
-        "the whole sweep is replicated per seed",
-    )
+    add_run_options(parser, "independent trials")
     parser.add_argument(
         "--json",
         action="store_true",
@@ -184,8 +128,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    seeds = _parse_seeds(args.seeds)
-    jobs = max(1, args.jobs)
 
     out_dir: Optional[pathlib.Path] = None
     out_file: Optional[pathlib.Path] = None
@@ -203,7 +145,8 @@ def main(argv=None) -> int:
     results: Dict[str, object] = {}
     for name in names:
         rendered, results[name] = run_one(
-            name, args.paper_scale, jobs=jobs, seeds=seeds, as_json=args.json, others=results
+            name, args.paper_scale, jobs=args.jobs, seeds=args.seeds, as_json=args.json,
+            others=results,
         )
         # Archive before printing: a closed stdout pipe (| head, | less)
         # must not lose the --out artifact to BrokenPipeError.

@@ -17,13 +17,11 @@ only by the live groups — the paper's same-deployment comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import Claim, format_table
+from repro.engine import Measurements, ResultSet, TrialSpec
+from repro.experiments.report import Claim, Figure, FigureResult
 from repro.world import FuseWorld
-
-EXPERIMENT = "steady-state"
 
 
 @dataclass
@@ -39,7 +37,9 @@ class SteadyStateConfig:
         return cls(n_nodes=400, n_groups=400)
 
 
-class SteadyStateResult:
+class SteadyStateResult(FigureResult):
+    title = ("§7.5 — steady-state load (paper: 337 vs 338 msgs/s — "
+             "FUSE adds no messages, only the 20-byte hash)")
     claims = (
         Claim("every group is created", lambda r: r.groups_created == r.groups_requested),
         Claim("FUSE groups add no messages: overhead within 1.5% (paper: +0.3%)",
@@ -48,14 +48,15 @@ class SteadyStateResult:
               lambda r: r.bytes_per_sec_with >= r.bytes_per_sec_without * 0.99),
     )
 
-    def __init__(self) -> None:
-        self.msgs_per_sec_without: float = 0.0
-        self.msgs_per_sec_with: float = 0.0
-        self.bytes_per_sec_without: float = 0.0
-        self.bytes_per_sec_with: float = 0.0
-        self.groups_created: int = 0
-        self.groups_requested: int = 0
-        self.result_set: Optional[ResultSet] = None
+    def __init__(self, rs: ResultSet, config: SteadyStateConfig) -> None:
+        without = rs.where(fuse_groups=False)
+        with_groups = rs.where(fuse_groups=True)
+        self.msgs_per_sec_without = without.mean("msgs_per_sec")
+        self.bytes_per_sec_without = without.mean("bytes_per_sec")
+        self.msgs_per_sec_with = with_groups.mean("msgs_per_sec")
+        self.bytes_per_sec_with = with_groups.mean("bytes_per_sec")
+        self.groups_created = int(rs.total("groups_created"))
+        self.groups_requested = config.n_groups * len(with_groups)
 
     @property
     def message_overhead_pct(self) -> float:
@@ -72,14 +73,6 @@ class SteadyStateResult:
             ("bytes/sec, + FUSE groups", self.bytes_per_sec_with),
             ("groups created", self.groups_created),
         ]
-
-    def format_table(self) -> str:
-        return format_table(
-            ["metric", "value"],
-            self.rows(),
-            title="§7.5 — steady-state load (paper: 337 vs 338 msgs/s — "
-            "FUSE adds no messages, only the 20-byte hash)",
-        )
 
 
 def _trial(spec: TrialSpec) -> Measurements:
@@ -109,30 +102,12 @@ def _trial(spec: TrialSpec) -> Measurements:
     }
 
 
-def sweep(config: SteadyStateConfig, seeds: Optional[Sequence[int]] = None) -> Sweep:
-    return Sweep(
-        grid={"fuse_groups": (False, True)},
-        seeds=tuple(seeds) if seeds else (config.seed,),
-    )
-
-
-def run(
-    config: Optional[SteadyStateConfig] = None,
-    *,
-    jobs: int = 1,
-    seeds: Optional[Sequence[int]] = None,
-) -> SteadyStateResult:
-    config = config or SteadyStateConfig()
-    specs = sweep(config, seeds).expand(EXPERIMENT, context=config)
-    rs = ResultSet(run_trials(_trial, specs, jobs=jobs), experiment=EXPERIMENT)
-    result = SteadyStateResult()
-    without = rs.where(fuse_groups=False)
-    with_groups = rs.where(fuse_groups=True)
-    result.msgs_per_sec_without = without.mean("msgs_per_sec")
-    result.bytes_per_sec_without = without.mean("bytes_per_sec")
-    result.msgs_per_sec_with = with_groups.mean("msgs_per_sec")
-    result.bytes_per_sec_with = with_groups.mean("bytes_per_sec")
-    result.groups_created = int(rs.total("groups_created"))
-    result.groups_requested = config.n_groups * len(with_groups)
-    result.result_set = rs
-    return result
+FIGURE = Figure(
+    name="steady-state",
+    config=SteadyStateConfig,
+    paper_scale=SteadyStateConfig.paper_scale,
+    trial=_trial,
+    result=SteadyStateResult,
+    grid=lambda config: {"fuse_groups": (False, True)},
+)
+run = FIGURE.run

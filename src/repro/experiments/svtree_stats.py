@@ -14,15 +14,12 @@ group-size samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.apps.svtree import SVTreeService
-from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
-from repro.experiments.report import Claim, format_table
-from repro.sim.metrics import Histogram
+from repro.engine import Measurements, ResultSet, TrialSpec
+from repro.experiments.report import Claim, Figure, FigureResult
 from repro.world import FuseWorld
-
-EXPERIMENT = "svtree"
 
 
 @dataclass
@@ -38,7 +35,9 @@ class SvtreeStatsConfig:
         return cls(n_nodes=16_000, n_topics=1, subscribers_per_topic=2_000)
 
 
-class SvtreeStatsResult:
+class SvtreeStatsResult(FigureResult):
+    title = ("§4 — SV-tree FUSE group sizes "
+             "(paper: mean 2.9, max 13 at 2000 subscribers / 16k nodes)")
     claims = (
         Claim("the workload creates FUSE groups", lambda r: len(r.sizes) > 0),
         Claim("groups are small: mean under 7 (paper: 2.9)", lambda r: r.sizes.mean() < 7.0),
@@ -46,11 +45,9 @@ class SvtreeStatsResult:
         Claim("the smallest group is the two link endpoints", lambda r: r.sizes.min() >= 2),
     )
 
-    def __init__(self) -> None:
-        self.sizes = Histogram("svtree-group-sizes")
-        self.subscriptions = 0
-        self.delivered_ok = 0
-        self.result_set: Optional[ResultSet] = None
+    def __init__(self, rs: ResultSet, config: SvtreeStatsConfig) -> None:
+        self.sizes = rs.histogram("sizes", "svtree-group-sizes")
+        self.subscriptions = int(rs.total("subscriptions"))
 
     def rows(self) -> List[Tuple]:
         if not len(self.sizes):
@@ -63,14 +60,6 @@ class SvtreeStatsResult:
             ("max size", s["max"]),
             ("subscriptions", self.subscriptions),
         ]
-
-    def format_table(self) -> str:
-        return format_table(
-            ["metric", "value"],
-            self.rows(),
-            title="§4 — SV-tree FUSE group sizes "
-            "(paper: mean 2.9, max 13 at 2000 subscribers / 16k nodes)",
-        )
 
 
 def _trial(spec: TrialSpec) -> Measurements:
@@ -96,21 +85,11 @@ def _trial(spec: TrialSpec) -> Measurements:
     return {"sizes": sizes, "subscriptions": subscriptions}
 
 
-def sweep(config: SvtreeStatsConfig, seeds: Optional[Sequence[int]] = None) -> Sweep:
-    return Sweep(seeds=tuple(seeds) if seeds else (config.seed,))
-
-
-def run(
-    config: Optional[SvtreeStatsConfig] = None,
-    *,
-    jobs: int = 1,
-    seeds: Optional[Sequence[int]] = None,
-) -> SvtreeStatsResult:
-    config = config or SvtreeStatsConfig()
-    specs = sweep(config, seeds).expand(EXPERIMENT, context=config)
-    rs = ResultSet(run_trials(_trial, specs, jobs=jobs), experiment=EXPERIMENT)
-    result = SvtreeStatsResult()
-    result.sizes = rs.histogram("sizes", "svtree-group-sizes")
-    result.subscriptions = int(rs.total("subscriptions"))
-    result.result_set = rs
-    return result
+FIGURE = Figure(
+    name="svtree",
+    config=SvtreeStatsConfig,
+    paper_scale=SvtreeStatsConfig.paper_scale,
+    trial=_trial,
+    result=SvtreeStatsResult,
+)
+run = FIGURE.run

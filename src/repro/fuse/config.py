@@ -18,7 +18,6 @@ paper argues for; flipping them reproduces the alternatives it rejects
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass
@@ -30,11 +29,6 @@ class FuseConfig:
     install_timeout_ms: float = 30_000.0
     """Root's timer for receiving InstallChecking from every member; on
     expiry the root attempts a repair (§6.2)."""
-
-    liveness_timeout_ms: Optional[float] = None
-    """Per-(group, link) silence tolerance before the link is declared
-    failed.  None derives ping period + ping timeout from the overlay
-    (the paper's 20-80 s detection window)."""
 
     member_repair_timeout_ms: float = 60_000.0
     """How long a member waits to hear from the root after requesting a
@@ -54,8 +48,6 @@ class FuseConfig:
     state is older than this, resolving the InstallChecking/ping race
     (§6.3: 5 seconds).  The §5.1 direct-link topologies likewise ignore a
     ping or ack that omits a group younger than this."""
-
-    notification_size_bytes: int = 128
 
     # ------------------------------------------------------------------
     # Ablation switches (the paper's §5 design choices)
@@ -85,8 +77,3 @@ class FuseConfig:
             raise ValueError("repair backoff cap below initial value")
         if self.grace_period_ms < 0:
             raise ValueError("grace period must be non-negative")
-
-    def effective_liveness_timeout(self, overlay_silence_ms: float) -> float:
-        if self.liveness_timeout_ms is not None:
-            return self.liveness_timeout_ms
-        return overlay_silence_ms

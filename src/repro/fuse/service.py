@@ -88,9 +88,9 @@ class FuseService(FuseCore):
         # key-set (or drop a state that has links) pop the neighbors they
         # touch from this memo of [ids, sha1, payload] per neighbor.
         self._shared_cache: Dict[NodeId, list] = {}
-        self._liveness_timeout = self.config.effective_liveness_timeout(
-            overlay_node.config.liveness_silence_ms
-        )
+        # A (group, link) is declared failed after the overlay's ping
+        # period + ping timeout of silence (the paper's 20-80 s window).
+        self._liveness_timeout = overlay_node.config.liveness_silence_ms
 
         # §3.6 stable storage: survives crashes (it models a disk file).
         # Maps fuse_id -> minimal recovery record.

@@ -23,7 +23,14 @@ Entry points:
 Full DSL reference: ``docs/SCENARIOS.md``.
 """
 
-from repro.scenarios.builtin import BUILTIN, catalogue, fig9_scenario, fig10_scenario
+from repro.scenarios.builtin import (
+    BUILTIN,
+    ChurnConfig,
+    CrashConfig,
+    catalogue,
+    fig9_scenario,
+    fig10_scenario,
+)
 from repro.scenarios.expect import (
     ExpectError,
     Expectation,
@@ -35,7 +42,6 @@ from repro.scenarios.runner import (
     apply_overrides,
     run_scenario,
     run_scenario_sweep,
-    sweep_for,
 )
 from repro.scenarios.spec import SpecError, TRACK_KINDS, load, scenario_from_dict
 from repro.scenarios.timeline import (
@@ -50,6 +56,8 @@ from repro.scenarios.timeline import (
 
 __all__ = [
     "BUILTIN",
+    "ChurnConfig",
+    "CrashConfig",
     "ExpectError",
     "Expectation",
     "MINUTE_MS",
@@ -72,5 +80,4 @@ __all__ = [
     "run_scenario",
     "run_scenario_sweep",
     "scenario_from_dict",
-    "sweep_for",
 ]

@@ -7,7 +7,8 @@ this table; :data:`BUILTIN` is the registry the CLI and tests consume.
 
 Two entries — ``paper-fig9`` and ``paper-fig10`` — are the scenario
 forms of the corresponding experiment modules; the shared factories
-(:func:`fig9_scenario`, :func:`fig10_scenario`) are also what
+(:func:`fig9_scenario`, :func:`fig10_scenario`) and their configs
+(:class:`CrashConfig`, :class:`ChurnConfig`) are also what
 :mod:`repro.experiments.crash_notification` and
 :mod:`repro.experiments.churn` now delegate to, which is the proof that
 the declarative layer subsumes the old hard-coded loops.
@@ -15,6 +16,7 @@ the declarative layer subsumes the old hard-coded loops.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from repro.scenarios.expect import Expectation
@@ -44,13 +46,45 @@ AGREEMENT_EXPECT = (
 # ----------------------------------------------------------------------
 # Scenario forms of the paper experiments (shared with repro.experiments)
 # ----------------------------------------------------------------------
-def fig9_scenario(config) -> Scenario:
+@dataclass
+class CrashConfig:
+    """Fig 9's parameters (:mod:`repro.experiments.crash_notification`)."""
+
+    n_nodes: int = 100
+    n_groups: int = 100
+    group_size: int = 5
+    n_disconnected: int = 4
+    observe_minutes: float = 12.0
+    seed: int = 4
+
+    @classmethod
+    def paper_scale(cls) -> "CrashConfig":
+        return cls(n_nodes=400, n_groups=400, group_size=5, n_disconnected=10)
+
+
+@dataclass
+class ChurnConfig:
+    """Fig 10's parameters (:mod:`repro.experiments.churn`)."""
+
+    n_stable: int = 50
+    n_churning: int = 50
+    n_groups: int = 25
+    group_size: int = 10
+    window_minutes: float = 10.0
+    half_life_minutes: float = 30.0
+    seed: int = 6
+
+    @classmethod
+    def paper_scale(cls) -> "ChurnConfig":
+        return cls(n_stable=200, n_churning=200, n_groups=100, window_minutes=10.0)
+
+
+def fig9_scenario(config: CrashConfig) -> Scenario:
     """The Fig 9 experiment as a scenario (see §7.4 of the paper).
 
-    ``config`` is a :class:`repro.experiments.crash_notification.CrashConfig`
-    (duck-typed).  Both tracks share the ``crash-workload`` RNG stream in
-    the order the original hand-written trial drew from it, so the
-    resulting worlds are *identical* to the pre-scenario implementation.
+    Both tracks share the ``crash-workload`` RNG stream in the order the
+    original hand-written trial drew from it, so the resulting worlds are
+    *identical* to the pre-scenario implementation.
     """
     return Scenario(
         name="paper-fig9",
@@ -79,10 +113,9 @@ def fig9_scenario(config) -> Scenario:
     )
 
 
-def fig10_scenario(config, variant: str) -> Scenario:
+def fig10_scenario(config: ChurnConfig, variant: str) -> Scenario:
     """One Fig 10 measurement (§7.4 churn) as a scenario.
 
-    ``config`` is a :class:`repro.experiments.churn.ChurnConfig`;
     ``variant`` is ``"stable"``, ``"churn"``, or ``"churn-fuse"``.
     Stream names and track order replicate the original trial's RNG draw
     sequence exactly.
@@ -316,8 +349,6 @@ def svtree_steady(quick: bool = False) -> Scenario:
 
 
 def paper_fig9(quick: bool = False) -> Scenario:
-    from repro.experiments.crash_notification import CrashConfig
-
     if quick:
         config = CrashConfig(n_nodes=40, n_groups=20, n_disconnected=3, observe_minutes=8.0)
     else:
@@ -326,8 +357,6 @@ def paper_fig9(quick: bool = False) -> Scenario:
 
 
 def paper_fig10(quick: bool = False) -> Scenario:
-    from repro.experiments.churn import ChurnConfig
-
     if quick:
         config = ChurnConfig(n_stable=24, n_churning=24, n_groups=10, window_minutes=5.0)
     else:

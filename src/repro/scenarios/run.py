@@ -41,23 +41,15 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
+from repro.engine import add_run_options
 from repro.net.backends.wallclock import wall_seconds
 from repro.scenarios.builtin import BUILTIN, catalogue
 from repro.scenarios.expect import evaluate_expectations
 from repro.scenarios.runner import apply_overrides, run_scenario, run_scenario_sweep
 from repro.scenarios.spec import SpecError, load
 from repro.scenarios.timeline import Scenario
-
-
-def _parse_seeds(text: Optional[str]) -> Optional[List[int]]:
-    if not text:
-        return None
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise SystemExit(f"--seeds expects comma-separated integers: {exc}")
 
 
 def _parse_grid_value(text: str) -> Any:
@@ -194,8 +186,8 @@ def _run_sweep(scenario: Scenario, args) -> int:
         run_scenario_sweep(
             scenario,
             grid,
-            jobs=max(1, args.jobs),
-            seeds=_parse_seeds(args.seeds),
+            jobs=args.jobs,
+            seeds=args.seeds,
             on_result=sink,
             keep_results=False,
         )
@@ -233,18 +225,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="CI-sized variant of a built-in scenario (ignored for spec files)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for seed replicas (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--seeds",
-        metavar="S1,S2,...",
-        help="comma-separated base seeds replacing the scenario default",
-    )
+    add_run_options(parser, "seed replicas and sweep shards")
     parser.add_argument(
         "--grid",
         action="append",
@@ -282,9 +263,7 @@ def main(argv=None) -> int:
     if args.grid:
         return _run_sweep(scenario, args)
     started = wall_seconds()
-    result = run_scenario(
-        scenario, jobs=max(1, args.jobs), seeds=_parse_seeds(args.seeds)
-    )
+    result = run_scenario(scenario, jobs=args.jobs, seeds=args.seeds)
     elapsed = wall_seconds() - started
 
     if args.json:
@@ -296,7 +275,7 @@ def main(argv=None) -> int:
             for p in scenario.phases
         ]
         payload["wall_seconds"] = round(elapsed, 3)
-        payload["jobs"] = max(1, args.jobs)
+        payload["jobs"] = args.jobs
         rendered = json.dumps(payload, indent=2, sort_keys=True, default=str)
     else:
         rendered = result.format_table() + (

@@ -1,11 +1,13 @@
 """Bridge from scenarios to the shared trial engine (§7 methodology).
 
 One scenario replica is one :class:`~repro.engine.trial.TrialSpec`: the
-scenario object rides along as the spec's context, the derived seed
-builds the world, and :func:`repro.scenarios.timeline.execute` is the
-trial function.  Everything the engine provides — seed replication,
-``--jobs`` process fan-out with seed-for-seed-identical aggregates, and
-JSON archiving — therefore applies to scenarios unchanged.
+scenario object rides along as the spec's context, the spec's grid point
+(if any) is applied to it, the derived seed builds the world, and
+:func:`repro.scenarios.timeline.execute` runs it.  Both entry points are
+one :func:`repro.engine.run_sweep` call, so everything the engine
+provides — seed replication, ``--jobs`` process fan-out with
+seed-for-seed-identical aggregates, and JSON archiving — applies to
+scenarios unchanged.
 """
 
 from __future__ import annotations
@@ -13,15 +15,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.engine import Measurements, ResultSet, Sweep, TrialSpec, run_trials
+from repro.engine import Measurements, ResultSet, TrialSpec, format_table, run_sweep
 from repro.engine.trial import TrialResult
 from repro.scenarios.timeline import Scenario, execute
-
-
-def _trial(spec: TrialSpec) -> Measurements:
-    """Module-level trial function (picklable for the process pool)."""
-    scenario: Scenario = spec.context
-    return execute(scenario, seed=spec.seed)
 
 
 def apply_overrides(scenario: Scenario, overrides: Mapping[str, Any]) -> Scenario:
@@ -76,9 +72,12 @@ def apply_overrides(scenario: Scenario, overrides: Mapping[str, Any]) -> Scenari
     return dataclasses.replace(scenario, n_nodes=n_nodes, tracks=tuple(tracks))
 
 
-def _sweep_trial(spec: TrialSpec) -> Measurements:
-    """Sweep trial: apply the spec's grid point, then execute."""
-    scenario = apply_overrides(spec.context, spec.params)
+def _trial(spec: TrialSpec) -> Measurements:
+    """Module-level trial function (picklable for the process pool):
+    apply the spec's grid point, then execute."""
+    scenario: Scenario = spec.context
+    if spec.params:
+        scenario = apply_overrides(scenario, spec.params)
     return execute(scenario, seed=spec.seed)
 
 
@@ -100,24 +99,16 @@ def run_scenario_sweep(
     writer there and ``keep_results=False`` to archive a large sweep
     incrementally instead of accumulating it in memory.
     """
-    experiment = f"scenario-sweep:{scenario.name}"
-    sweep = Sweep(
-        grid=dict(grid), seeds=tuple(seeds) if seeds else (scenario.seed,)
-    )
-    specs = sweep.expand(experiment, context=scenario)
-    results = run_trials(
-        _sweep_trial,
-        specs,
+    return run_sweep(
+        f"scenario-sweep:{scenario.name}",
+        _trial,
+        grid=grid,
+        seeds=seeds or (scenario.seed,),
+        context=scenario,
         jobs=jobs,
         on_result=on_result,
         keep_results=keep_results,
     )
-    return ResultSet(results, experiment=experiment)
-
-
-def sweep_for(scenario: Scenario, seeds: Optional[Sequence[int]] = None) -> Sweep:
-    """One trial per base seed; the scenario's own seed is the default."""
-    return Sweep(seeds=tuple(seeds) if seeds else (scenario.seed,))
 
 
 class ScenarioResult:
@@ -169,8 +160,6 @@ class ScenarioResult:
         return rows
 
     def format_table(self) -> str:
-        from repro.experiments.report import format_table
-
         scenario = self.scenario
         timeline = " → ".join(
             f"{p.name}:{p.minutes:g}m" + ("*" if p.measure else "")
@@ -189,8 +178,13 @@ def run_scenario(
     jobs: int = 1,
     seeds: Optional[Sequence[int]] = None,
 ) -> ScenarioResult:
-    """Run seed replicas of ``scenario`` through the trial engine."""
-    experiment = f"scenario:{scenario.name}"
-    specs = sweep_for(scenario, seeds).expand(experiment, context=scenario)
-    rs = ResultSet(run_trials(_trial, specs, jobs=jobs), experiment=experiment)
+    """Run seed replicas of ``scenario`` (its own seed by default)
+    through the trial engine."""
+    rs = run_sweep(
+        f"scenario:{scenario.name}",
+        _trial,
+        seeds=seeds or (scenario.seed,),
+        context=scenario,
+        jobs=jobs,
+    )
     return ScenarioResult(scenario, rs)

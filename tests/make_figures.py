@@ -59,7 +59,7 @@ PASS when the measured result shows it, FAIL when it does not.
 
 
 def _run(name: str) -> object:
-    return EXPERIMENTS[name][0](EXPERIMENTS[name][1]())
+    return EXPERIMENTS[name].run()
 
 
 def run_all() -> Dict[str, object]:

@@ -6,12 +6,11 @@ non-default config and produces well-formed results, so a refactor that
 breaks a driver fails fast in the unit suite.
 """
 
+from repro.engine import format_cdf, format_table
 from repro.experiments import (
     agreement,
     calibration,
     creation_latency,
-    format_cdf,
-    format_table,
     loss_rates,
     notification_latency,
     steady_state,

@@ -18,6 +18,7 @@ from repro.fuse.messages import (
 from repro.fuse.state import GroupState
 from repro.sim import Simulator
 from repro.sim.trace import TraceLog
+from repro.world import FuseWorld
 
 
 class TestFuseConfig:
@@ -38,10 +39,13 @@ class TestFuseConfig:
             FuseConfig(grace_period_ms=-1)
 
     def test_liveness_timeout_derivation(self):
-        cfg = FuseConfig()
-        assert cfg.effective_liveness_timeout(80_000.0) == 80_000.0
-        cfg2 = FuseConfig(liveness_timeout_ms=5_000.0)
-        assert cfg2.effective_liveness_timeout(80_000.0) == 5_000.0
+        """A service's link timeout is the overlay's ping period + ping
+        timeout (the paper's 20-80 s detection window)."""
+        world = FuseWorld(n_nodes=4, seed=1)
+        overlay = world.overlay.config
+        assert overlay.liveness_silence_ms == overlay.ping_period_ms + overlay.ping_timeout_ms
+        for node in world.node_ids:
+            assert world.fuse(node)._liveness_timeout == overlay.liveness_silence_ms
 
 
 class TestGroupState:

@@ -22,6 +22,7 @@ from repro.scenarios import (
     run_scenario,
     scenario_from_dict,
 )
+from repro.scenarios.run import main as run_main
 from repro.scenarios.spec import SpecError
 from repro.scenarios.tracks import (
     CrashRecoverWave,
@@ -322,6 +323,16 @@ class TestDeterminism:
         assert first == second
 
 
+class TestCli:
+    def test_jobs_below_one_reports_the_serial_run(self, capsys):
+        """``--jobs 0`` runs serially; the table footer and the --json
+        payload both report the job count used, 1."""
+        assert run_main(["steady", "--quick", "--jobs", "0"]) == 0
+        assert ", jobs=1, 1 trials]" in capsys.readouterr().out
+        assert run_main(["steady", "--quick", "--jobs", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["jobs"] == 1
+
+
 class TestBuiltinCatalogue:
     def test_at_least_six_builtins(self):
         assert len(BUILTIN) >= 6
@@ -465,18 +476,18 @@ class TestExperimentDelegation:
 
     def test_sweep_shapes_unchanged(self):
         """The engine-facing sweep decomposition (and thus derived seeds)
-        survived the delegation refactor."""
+        survived the delegation refactor: checked on tiny runs' result sets."""
+        from repro.engine import derive_seed
         from repro.experiments import churn, crash_notification
 
-        assert churn.sweep(churn.ChurnConfig()).expand(churn.EXPERIMENT)[0].params == {
-            "scenario": "stable"
-        }
-        assert len(churn.sweep(churn.ChurnConfig()).expand(churn.EXPERIMENT)) == 3
-        assert (
-            len(
-                crash_notification.sweep(
-                    crash_notification.CrashConfig(), seeds=[1, 2]
-                ).expand(crash_notification.EXPERIMENT)
-            )
-            == 2
+        config = churn.ChurnConfig(
+            n_stable=6, n_churning=6, n_groups=2, group_size=3, window_minutes=1.0
         )
+        trials = churn.run(config).result_set.trials
+        assert len(trials) == 3
+        assert trials[0].spec.params == {"scenario": "stable"}
+        assert trials[0].spec.seed == derive_seed("fig10", 6, [("scenario", "stable")])
+        config = crash_notification.CrashConfig(
+            n_nodes=10, n_groups=2, group_size=3, n_disconnected=1, observe_minutes=1.0
+        )
+        assert len(crash_notification.run(config, seeds=[1, 2]).result_set) == 2
