@@ -6,7 +6,7 @@ paper's 16,000-node simulator runs live on:
 
 * ``setup_seconds`` — wall time from ``FuseWorld(n)`` through a settled
   ``bootstrap()`` (the auto-scaled join schedule above 400 nodes; see
-  ``FuseWorld.default_join_spacing_ms``).
+  ``FuseWorld.join_interval_ms``).
 * ``events_per_sec`` — dispatch rate over a short post-bootstrap steady
   window with live FUSE groups.
 * ``peak_kb_per_node`` — tracemalloc peak during an identical traced

@@ -177,6 +177,8 @@ def run_soak(
             "net_messages": int(metrics.counter("net.messages").value),
             "net_deliveries": int(metrics.counter("net.deliveries").value),
             "net_connection_breaks": int(metrics.counter("net.connection_breaks").value),
+            "net.backends.kernel.stall_ms": round(world.sim.clock.stall_ms, 1),
+            "net.backends.kernel.max_lateness_ms": round(world.sim.clock.max_lateness_ms, 1),
             "python": platform.python_version(),
         }
     return result

@@ -33,7 +33,6 @@ from repro.net.backends.wallclock import WallClock, wall_seconds
 
 _LAZY = {
     "AsyncioKernel": ("repro.net.backends.asynckernel", "AsyncioKernel"),
-    "LiveTimerHandle": ("repro.net.backends.asynckernel", "LiveTimerHandle"),
     "LiveTransportConfig": ("repro.net.backends.config", "LiveTransportConfig"),
     "LiveNetwork": ("repro.net.backends.livenet", "LiveNetwork"),
     "LiveLossModel": ("repro.net.backends.livenet", "LiveLossModel"),

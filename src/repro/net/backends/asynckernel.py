@@ -1,84 +1,40 @@
-"""Asyncio kernel: the simulator surface bound to a real event loop.
+"""Asyncio kernel: the simulator's event queue on a real event loop.
 
 :class:`AsyncioKernel` duck-types the slice of
 :class:`repro.sim.kernel.Simulator` that hosts and protocol layers use —
-``now``, ``metrics``, ``rng``, ``trace``, ``lane_plane``,
-``call_at``/``call_after``/``call_soon`` (returning cancellable handles)
-and their fire-and-forget ``schedule_*`` twins — so the entire FUSE stack
-runs unchanged with wall-clock timers instead of a virtual event heap.
+``now``, ``metrics``, ``rng``, ``trace``, ``lane_plane``, ``call_*``
+(returning :class:`~repro.sim.events.TimerHandle`) and ``schedule_*`` —
+so the entire FUSE stack runs unchanged on wall-clock time.  Events go
+on the simulator's own :class:`~repro.sim.events.EventQueue`; one asyncio
+wakeup stays armed for the head event and dispatches every due event in
+``(when, seq)`` order, as the simulator does.
 
-All scheduling is in *virtual milliseconds* against the kernel's
-:class:`~repro.net.backends.wallclock.WallClock`; the kernel converts to
-wall delays with the clock's ``time_scale``.  One deliberate deviation
-from the simulator (documented in docs/BACKENDS.md): ``call_at`` with a
-time already in the past *clamps to now* instead of raising — on a wall
-clock, "the past" is any instant the caller spent computing, so raising
-would make every absolute-time schedule a race.
+Times are *virtual milliseconds* on the kernel's
+:class:`~repro.net.backends.wallclock.WallClock`.  Two deliberate
+deviations from the simulator (documented in docs/BACKENDS.md):
+``call_at`` with a time already in the past *clamps to now* instead of
+raising (on a wall clock, "the past" is any instant the caller spent
+computing), and virtual time runs at most :data:`STALL_SLACK_MS` past
+the earliest undispatched event — a loop that falls further behind has
+the excess charged to the clock as a stall.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
+from heapq import heappop
 from typing import Any, Callable, Optional
 
 from repro.net.backends.wallclock import WallClock
+from repro.sim.events import EventQueue, TimerHandle
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RngStreams
 
-
-class LiveTimerHandle:
-    """Cancellable, reschedulable timer over ``loop.call_later``.
-
-    API-compatible with :class:`repro.sim.events.TimerHandle`: ``when``
-    (virtual ms), ``active``, ``cancel()``, ``reschedule_at/after``.
-
-    A pending timer is a cycle (this handle -> asyncio handle -> dispatch
-    closure -> ``self._fire``), and callers often store the handle where
-    its callback can reach it.  Firing or cancelling drops the callback
-    and the asyncio handle, so a spent timer leaves nothing for the
-    cyclic collector.
-    """
-
-    __slots__ = ("_kernel", "_callback", "_label", "_handle", "when")
-
-    def __init__(self, kernel: "AsyncioKernel", when: float, callback: Callable[[], Any], label: str) -> None:
-        self._kernel = kernel
-        self._callback = callback
-        self._label = label
-        self.when = when
-        self._handle = kernel._schedule(when, self._fire)
-
-    def _fire(self) -> None:
-        callback = self._callback
-        self._callback = self._handle = None
-        callback()
-
-    @property
-    def active(self) -> bool:
-        return self._handle is not None
-
-    def cancel(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-            self._callback = self._handle = None
-
-    def reschedule_at(self, when: float) -> bool:
-        """Move a still-pending timer to virtual time ``when``."""
-        if self._handle is None:
-            return False
-        self._handle.cancel()
-        self.when = when
-        self._handle = self._kernel._schedule(when, self._fire)
-        return True
-
-    def reschedule_after(self, delay: float) -> bool:
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        return self.reschedule_at(self._kernel.now + delay)
-
-    def __repr__(self) -> str:
-        state = "active" if self.active else "inert"
-        return f"LiveTimerHandle(when={self.when:.3f}, label={self._label!r}, {state})"
+#: Virtual ms the clock may run past the earliest undispatched event
+#: before the loop's lateness is charged as a stall: a quarter of the
+#: 200 ms initial RTO, so a stall cannot expire a retransmission timer.
+STALL_SLACK_MS = 50.0
 
 
 class AsyncioKernel:
@@ -94,11 +50,16 @@ class AsyncioKernel:
     def __init__(self, seed: int = 0, time_scale: float = 1.0) -> None:
         self.loop = asyncio.new_event_loop()
         self.clock = WallClock(time_scale=time_scale, time_fn=self.loop.time)
+        self.queue = EventQueue()
         self.rng = RngStreams(seed)
         self.metrics = MetricsRegistry(self.clock)
         self.trace = None
         self.lane_plane = None
         self._dispatched = 0
+        self._wakeup: Optional[asyncio.TimerHandle] = None
+        #: virtual time the wakeup is armed for; -inf while it dispatches
+        #: (the batch re-arms when it ends), inf when none is armed
+        self._armed_at = math.inf
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -109,70 +70,109 @@ class AsyncioKernel:
         """Current virtual time in milliseconds."""
         return self.clock.now
 
-    def _schedule(self, when: float, callback: Callable[[], Any]) -> asyncio.TimerHandle:
-        delay_ms = when - self.clock.now
-        if delay_ms < 0.0:
-            delay_ms = 0.0  # clamp: wall time has no "not yet scheduled past"
+    def _push(self, when: float, callback: Callable[[], Any], label: str) -> int:
+        seq = self.queue.push(when, callback, label)
+        if when < self._armed_at:
+            self._arm(when)
+        return seq
 
-        def dispatch() -> None:
-            self._dispatched += 1
-            callback()
+    def _arm(self, when: float) -> None:
+        """Point the one asyncio wakeup at virtual time ``when``."""
+        if self._wakeup is not None:
+            self._wakeup.cancel()
+        clock = self.clock
+        self._armed_at = when
+        clock.horizon = when + STALL_SLACK_MS
+        delay_ms = when - clock.now
+        self._wakeup = self.loop.call_later(
+            clock.wall_delay_s(delay_ms) if delay_ms > 0.0 else 0.0, self._wake
+        )
 
-        return self.loop.call_later(self.clock.wall_delay_s(delay_ms), dispatch)
+    def _rearm(self) -> None:
+        """Arm for the head event unless a wakeup at or before it is."""
+        head = self.queue.peek_time()
+        if head is None:
+            if self._wakeup is None:
+                self.clock.horizon = math.inf
+        elif head < self._armed_at:
+            self._arm(head)
 
-    def call_at(self, when: float, callback: Callable[[], Any], label: str = "") -> LiveTimerHandle:
-        return LiveTimerHandle(self, when, callback, label)
+    def _wake(self) -> None:
+        """Dispatch every event due when the wakeup fired, then re-arm."""
+        self._wakeup = None
+        self._armed_at = -math.inf
+        queue = self.queue
+        heap = queue._heap
+        pending = queue._pending
+        clock = self.clock
+        limit = clock.now  # charges any lateness past the armed event
+        try:
+            while heap:
+                when, seq, callback, _ = heap[0]
+                if seq not in pending:
+                    heappop(heap)  # cancelled: shed lazily, no dispatch
+                    continue
+                if when > limit:
+                    break
+                heappop(heap)
+                pending.remove(seq)
+                clock.horizon = when + STALL_SLACK_MS
+                self._dispatched += 1
+                callback()
+        finally:
+            self._armed_at = math.inf
+            self._rearm()
 
-    def call_after(self, delay: float, callback: Callable[[], Any], label: str = "") -> LiveTimerHandle:
+    def call_at(self, when: float, callback: Callable[[], Any], label: str = "") -> TimerHandle:
+        now = self.clock.now
+        if when < now:
+            when = now
+        return TimerHandle(
+            self.queue, self.clock, self._push(when, callback, label), when, callback, label
+        )
+
+    def call_after(self, delay: float, callback: Callable[[], Any], label: str = "") -> TimerHandle:
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        return LiveTimerHandle(self, self.clock.now + delay, callback, label)
+        return self.call_at(self.clock.now + delay, callback, label)
 
-    def call_soon(self, callback: Callable[[], Any], label: str = "") -> LiveTimerHandle:
-        return LiveTimerHandle(self, self.clock.now, callback, label)
+    def call_soon(self, callback: Callable[[], Any], label: str = "") -> TimerHandle:
+        return self.call_at(self.clock.now, callback, label)
 
     def schedule_at(self, when: float, callback: Callable[[], Any], label: str = "") -> None:
-        self._schedule(when, callback)
+        now = self.clock.now
+        self._push(when if when > now else now, callback, label)
 
     def schedule_after(self, delay: float, callback: Callable[[], Any], label: str = "") -> None:
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        self._schedule(self.clock.now + delay, callback)
+        self._push(self.clock.now + delay, callback, label)
 
     def schedule_soon(self, callback: Callable[[], Any], label: str = "") -> None:
-        self._schedule(self.clock.now, callback)
+        self._push(self.clock.now, callback, label)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run_for(self, duration_ms: float) -> None:
         """Drive the loop for ``duration_ms`` of virtual time."""
-        self.run_until_time(self.clock.now + duration_ms)
-
-    def run_until_time(self, target_ms: float) -> None:
-        """Drive the loop until virtual time reaches ``target_ms``."""
-        while True:
-            remaining_ms = target_ms - self.clock.now
-            if remaining_ms <= 0.0:
-                return
+        target_ms = self.clock.now + duration_ms
+        self._rearm()  # a timer rescheduled between runs moved the head
+        while target_ms > self.clock.now:
             self.loop.run_until_complete(
-                asyncio.sleep(self.clock.wall_delay_s(remaining_ms))
+                asyncio.sleep(self.clock.wall_delay_s(target_ms - self.clock.now))
             )
 
-    def run_until(
-        self,
-        predicate: Callable[[], bool],
-        timeout_ms: float,
-        poll_ms: float = 20.0,
-    ) -> bool:
+    def run_until(self, predicate: Callable[[], bool], timeout_ms: float) -> bool:
         """Drive the loop until ``predicate()`` holds or ``timeout_ms``
-        of virtual time elapses.  Returns whether the predicate held —
-        the live twin of the ``while ...: sim.step()`` pattern."""
+        of virtual time elapses, polling every 20 virtual ms.  Returns
+        whether the predicate held, as ``Simulator.run_until`` does."""
+        self._rearm()
         deadline = self.clock.now + timeout_ms
         while not predicate():
             if self.clock.now >= deadline:
                 return False
-            step = min(poll_ms, max(deadline - self.clock.now, 0.1))
+            step = min(20.0, max(deadline - self.clock.now, 0.1))
             self.loop.run_until_complete(asyncio.sleep(self.clock.wall_delay_s(step)))
         return True
 
@@ -189,6 +189,9 @@ class AsyncioKernel:
         if self._closed:
             return
         self._closed = True
+        if self._wakeup is not None:
+            self._wakeup.cancel()
+            self._wakeup = None
         try:
             pending = asyncio.all_tasks(self.loop)
             for task in pending:
@@ -202,6 +205,6 @@ class AsyncioKernel:
 
     def __repr__(self) -> str:
         return (
-            f"AsyncioKernel(now={self.clock.now:.1f}ms, "
-            f"time_scale={self.clock.time_scale}, dispatched={self._dispatched})"
+            f"AsyncioKernel(now={self.clock.now:.1f}ms, time_scale={self.clock.time_scale}, "
+            f"dispatched={self._dispatched}, stall_ms={self.clock.stall_ms:.1f})"
         )

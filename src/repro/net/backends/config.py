@@ -4,8 +4,9 @@ Same reliability vocabulary as the simulated
 :class:`repro.net.transport.TransportConfig` — initial RTO, exponential
 backoff, bounded retries, jitter — plus the knobs that only exist once
 there is a real wire: a synthetic one-way path latency (localhost UDP is
-effectively instant, so injected latency carries the topology's role) and
-the time-compression factor handed to :class:`~repro.net.backends.wallclock.WallClock`.
+effectively instant, so injected latency carries the topology's role).
+Time compression belongs to the kernel's
+:class:`~repro.net.backends.wallclock.WallClock`, not to the wire.
 
 All parameters are validated with the shared helpers in
 :mod:`repro.net.backends.base`, which follow the
@@ -47,9 +48,6 @@ class LiveTransportConfig:
     # in for the simulated topology's path latency.
     path_latency_ms: float = 30.0
 
-    # Wall seconds per virtual second (1.0 = real time).
-    time_scale: float = 1.0
-
     def __post_init__(self) -> None:
         self.rto_initial_ms = validate_positive(self.rto_initial_ms, "rto_initial_ms")
         self.rto_backoff = validate_positive(self.rto_backoff, "rto_backoff")
@@ -58,7 +56,6 @@ class LiveTransportConfig:
         self.max_retries = validate_retry_count(self.max_retries, "max_retries")
         self.jitter_fraction = validate_fraction(self.jitter_fraction, "jitter_fraction")
         self.path_latency_ms = validate_non_negative(self.path_latency_ms, "path_latency_ms")
-        self.time_scale = validate_positive(self.time_scale, "time_scale")
 
     def retry_schedule_ms(self) -> List[float]:
         """Cumulative virtual-ms delay before each retransmission."""

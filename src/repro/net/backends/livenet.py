@@ -136,7 +136,7 @@ class _DedupeWindow:
 class _LivePending(SendAttempt):
     """Retransmission state for one unacked data frame."""
 
-    __slots__ = ("seq", "frame", "type_name", "timer", "done")
+    __slots__ = ("seq", "frame", "type_name", "timer")
 
     def __init__(
         self,
@@ -153,7 +153,6 @@ class _LivePending(SendAttempt):
         self.seq = seq
         self.frame = frame
         self.type_name = type_name
-        self.done = False
         self.timer = None
 
     @property
@@ -174,20 +173,18 @@ class _LivePending(SendAttempt):
 
     def retire(self) -> None:
         """Stop retransmitting: cancel the timer and forget the frame."""
-        self.done = True
         if self.timer is not None:
             self.timer.cancel()
+            self.timer = None  # the handle keeps _on_timeout: a cycle
         self.network._pending.pop((self.src, self.dst, self.seq), None)
 
     def acked(self) -> None:
-        if self.done:
-            return
+        # Only a pending frame is found by its ack: retire() forgets it.
         self.retire()
         self.network._mark_connected(self.src, self.dst)
 
     def _on_timeout(self) -> None:
-        if self.done:
-            return
+        self.timer = None  # a fired handle keeps this bound method
         sender = self.network._hosts[self.src]
         if not sender.alive or sender.incarnation != self.src_incarnation:
             self.retire()

@@ -17,7 +17,9 @@ that is what the parity harness in :mod:`repro.scenarios.parity` leans on.
 
 ``time_scale`` compresses wall time (0.02 ⇒ a 60 s virtual ping period
 takes 1.2 s of wall clock), which is how the soak and CI runs keep
-multi-virtual-minute scenarios inside seconds of real time.
+multi-virtual-minute scenarios inside seconds of real time.  The kernel
+charges event-loop stalls to the clock, so ``bootstrap`` is the shared
+:meth:`repro.world.World.bootstrap` schedule: no join waves.
 """
 
 from __future__ import annotations
@@ -59,71 +61,25 @@ class LiveWorld(World):
         fuse_config: Optional[FuseConfig] = None,
         transport: Optional[LiveTransportConfig] = None,
     ) -> None:
-        if transport is None:
-            transport = LiveTransportConfig(time_scale=time_scale)
         _raise_fd_limit(n_nodes)
-        sim = AsyncioKernel(seed=seed, time_scale=transport.time_scale)
+        sim = AsyncioKernel(seed=seed, time_scale=time_scale)
         net = LiveNetwork(sim, config=transport)
         self.topology = net.loss_model  # the wire's loss/burst knobs
         super().__init__(sim, net, list(range(n_nodes)), overlay_config, fuse_config)
-        self._closed = False
 
-    #: Peers joining concurrently during bootstrap.  On the simulator a
-    #: join costs zero wall time, so any spacing works; on real sockets
-    #: each join burns CPU in the shared event loop, and a 1,000-node
-    #: flash crowd starves its own retransmit timers into connection
-    #: breaks.  Waves bound the in-flight joins to something the loop
-    #: can drain regardless of ``time_scale``.
-    JOIN_WAVE_SIZE = 32
+    def bootstrap(self, settle_ms: float = 5_000.0) -> None:
+        """Open every UDP endpoint, run the shared join schedule, and
+        wait for stragglers.
 
-    def bootstrap(
-        self,
-        join_spacing_ms: Optional[float] = None,
-        settle_ms: float = 5_000.0,
-    ) -> None:
-        """Open every UDP endpoint, join all nodes in waves, settle."""
+        Unlike a classic simulated bootstrap, the live one always waits:
+        a join whose probe lost a retransmit race parks on the 30 s
+        join-retry timer, past the settle window.
+        """
         self.sim.run_coroutine(self.net.open_endpoints())
-        if join_spacing_ms is None:
-            join_spacing_ms = self.default_join_spacing_ms()
-        if join_spacing_ms < 200.0:
-            self.overlay.first_sweep_floor_ms = len(self.node_ids) * join_spacing_ms
-        joined_target = 0
-        for base in range(0, len(self.node_ids), self.JOIN_WAVE_SIZE):
-            wave = self.node_ids[base : base + self.JOIN_WAVE_SIZE]
-            start = self.sim.now
-            for index, node_id in enumerate(wave):
-                node = self.overlay_nodes[node_id]
-                self.sim.call_at(start + index * join_spacing_ms, node.join)
-            self.sim.run_until_time(start + len(wave) * join_spacing_ms)
-            joined_target += len(wave)
-            # Wall clocks are not obedient: under heavy time compression
-            # the CPU cost of real joins eats any fixed virtual budget,
-            # so the wait is progress-based — each window must grow the
-            # membership, and stalled nodes are re-joined (a join RPC
-            # that lost its retransmit race surfaces as a failed join,
-            # exactly like a dropped SYN would).
-            target = joined_target
-            stalled_windows = 0
-            while self.overlay.member_count < target and stalled_windows < 3:
-                before = self.overlay.member_count
-                self.sim.run_until(
-                    lambda: self.overlay.member_count >= target,
-                    timeout_ms=120_000.0,
-                )
-                if self.overlay.member_count > before:
-                    stalled_windows = 0
-                    continue
-                stalled_windows += 1
-                for node_id in wave:
-                    node = self.overlay_nodes[node_id]
-                    if not node.joined:
-                        node.join()
-        self.sim.run_until_time(self.sim.now + settle_ms)
+        super().bootstrap(settle_ms)
+        self.join_stragglers()
 
     def close(self) -> None:
-        """Close every socket and the event loop (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
+        """Close every socket and the event loop (both idempotent)."""
         self.net.close()
         self.sim.close()

@@ -11,7 +11,8 @@ Two exports:
 * :class:`WallClock` — maps a monotonic wall-time source onto virtual
   milliseconds with a configurable compression factor, so live runs can
   execute a 60 s ping period in, say, 1.2 s of real time while every
-  protocol timer still reads the same virtual numbers as the simulator.
+  protocol timer still reads the same virtual numbers as the simulator;
+  event-loop stalls are charged to it instead of to the protocol.
 * :func:`wall_seconds` — the plain "how long did this take" reading used
   by CLI reporting (``scenarios/run.py``, ``experiments/run.py``); going
   through this helper keeps those call sites visible at the seam.
@@ -19,6 +20,7 @@ Two exports:
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable
 
@@ -47,13 +49,13 @@ class WallClock(ClockBase):
 
     ``time_scale`` is wall seconds per virtual second: 1.0 runs in real
     time, 0.02 compresses a virtual minute into 1.2 wall seconds.  The
-    origin is fixed at construction, so virtual time is continuous across
-    event-loop pauses — harness work between ``run_for`` windows shows up
-    as virtual idle time, exactly like a process stall on a real host
-    (documented in docs/BACKENDS.md under known deviations).
+    kernel bounds virtual time by ``horizon`` (its earliest undispatched
+    event plus a slack); a read past it charges the excess as a stall by
+    moving the origin forward, so virtual time skips the stall.
+    ``stall_ms`` totals the charges, ``max_lateness_ms`` is the largest.
     """
 
-    __slots__ = ("_time_fn", "_scale", "_origin")
+    __slots__ = ("_time_fn", "_scale", "_origin", "horizon", "stall_ms", "max_lateness_ms")
 
     def __init__(
         self,
@@ -63,6 +65,9 @@ class WallClock(ClockBase):
         self._scale = validate_positive(time_scale, "time_scale")
         self._time_fn = time_fn
         self._origin = time_fn()
+        self.horizon = math.inf
+        self.stall_ms = 0.0
+        self.max_lateness_ms = 0.0
 
     @property
     def time_scale(self) -> float:
@@ -71,7 +76,16 @@ class WallClock(ClockBase):
     @property
     def now(self) -> float:
         """Current virtual time in milliseconds."""
-        return (self._time_fn() - self._origin) * 1000.0 / self._scale
+        now = (self._time_fn() - self._origin) * 1000.0 / self._scale
+        horizon = self.horizon
+        if now <= horizon:
+            return now
+        lateness = now - horizon
+        self._origin += lateness / 1000.0 * self._scale
+        self.stall_ms += lateness
+        if lateness > self.max_lateness_ms:
+            self.max_lateness_ms = lateness
+        return horizon
 
     def wall_delay_s(self, virtual_ms: float) -> float:
         """Wall seconds corresponding to ``virtual_ms`` of virtual time."""

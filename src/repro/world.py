@@ -2,9 +2,9 @@
 
 Everything the paper's testbed provides — a network, a SkipNet overlay
 with N virtual nodes, and a FUSE service on each — wired together and
-bootstrapped.  :class:`World` is what every deployment shares; the two
-backends differ only in the kernel, the network, and how ``bootstrap``
-joins peers:
+bootstrapped.  :class:`World` is what every deployment shares, the
+join schedule of ``bootstrap`` included; the two backends differ only in
+the kernel and the network:
 
 * :class:`FuseWorld` — the deterministic simulator over a wide-area
   Mercator topology and a TCP-ish messaging layer;
@@ -48,11 +48,10 @@ class World:
 
     Builds the overlay, the world-wide ledger and one
     ``Host``/``OverlayNode``/``FuseService`` per node id, in that order.
-    Subclasses construct the kernel and the network first and provide
-    ``bootstrap``.
+    Subclasses construct the kernel and the network first.
     """
 
-    #: Node count up to which the default join schedule uses the classic
+    #: Node count up to which the join schedule uses the classic
     #: 200 ms spacing (every committed fixture and test world is below
     #: this, so their event streams are bit-for-bit unchanged).
     CLASSIC_BOOTSTRAP_MAX_NODES = 400
@@ -96,8 +95,8 @@ class World:
     # ------------------------------------------------------------------
     # Bootstrap and clock control
     # ------------------------------------------------------------------
-    def default_join_spacing_ms(self) -> float:
-        """The join spacing ``bootstrap()`` uses when none is given.
+    def join_interval_ms(self) -> float:
+        """The virtual time between two joins in :meth:`bootstrap`.
 
         200 ms per join — the spacing the paper-scale experiments were
         calibrated with — up to :data:`CLASSIC_BOOTSTRAP_MAX_NODES`.
@@ -108,13 +107,55 @@ class World:
         make bootstrap cost O(n²) pings.  Capping the window (at half a
         ping period — joins complete in well under a second of virtual
         time, so the window models a deployment ramp, not idle steady
-        state) keeps it O(n).  Pass ``join_spacing_ms`` explicitly to
-        override either regime.
+        state) keeps it O(n).
         """
         n = len(self.node_ids)
         if n <= self.CLASSIC_BOOTSTRAP_MAX_NODES:
             return 200.0
         return max(self.AUTO_JOIN_SPACING_MIN_MS, self.AUTO_JOIN_WINDOW_MS / n)
+
+    def bootstrap(self, settle_ms: float = 5_000.0) -> None:
+        """Join every node into the overlay :meth:`join_interval_ms`
+        apart, then settle; a compressed schedule also waits for
+        stragglers."""
+        spacing = self.join_interval_ms()
+        compressed = spacing < 200.0
+        start = self.sim.now
+        if compressed:
+            # Compressed flash-crowd regime: hold every node's first
+            # liveness sweep until the join storm has ended.  A probe
+            # fired mid-storm races thousands of queued joins; at 16k
+            # nodes that raced a handful of members clean out of the
+            # overlay (the 15,996/16,000 gap).  Classic 200 ms schedules
+            # keep the floor at zero so historical event streams stay
+            # byte-identical.
+            self.overlay.first_sweep_floor_ms = start + len(self.node_ids) * spacing
+        plane = self.sim.lane_plane
+        if plane is not None:
+            # Join storms churn routing tables too fast for lanes to pay
+            # off (every table push would eject); absorb only afterward.
+            plane.suspend()
+        try:
+            for index, node_id in enumerate(self.node_ids):
+                self.sim.call_at(start + index * spacing, self.overlay_nodes[node_id].join)
+            self.sim.run_for(len(self.node_ids) * spacing + settle_ms)
+        finally:
+            if plane is not None:
+                plane.resume()
+        if compressed:
+            self.join_stragglers()
+
+    def join_stragglers(self) -> None:
+        """Drive the world until every node has joined, for at most 60 s.
+
+        A probe routed into rings that are still churning can dead-end
+        (hop-count drop), parking its joiner on the 30 s join-retry
+        timer — past the settle window.  Bounded: one retry cycle plus
+        slack.
+        """
+        deadline = self.sim.now + 60_000.0
+        while self.overlay.member_count < len(self.node_ids) and self.sim.now < deadline:
+            self.sim.run_for(1_000.0)
 
     def run_for(self, duration_ms: float) -> None:
         self.sim.run_for(duration_ms)
@@ -254,54 +295,3 @@ class FuseWorld(World):
             plane = LanePlane(self.sim, self.net, self.overlay)
             self.sim.lane_plane = plane
             self.overlay.lane_plane = plane
-
-    def bootstrap(
-        self,
-        join_spacing_ms: Optional[float] = None,
-        settle_ms: float = 5_000.0,
-    ) -> None:
-        """Join every node into the overlay, staggered, then settle.
-
-        ``join_spacing_ms`` defaults to :meth:`default_join_spacing_ms`:
-        the classic 200 ms schedule for worlds up to 400 nodes (keeping
-        historical event streams byte-identical), a compressed schedule
-        above that so paper-scale worlds bootstrap in bounded virtual
-        time.
-        """
-        if join_spacing_ms is None:
-            join_spacing_ms = self.default_join_spacing_ms()
-        if join_spacing_ms < 200.0:
-            # Compressed flash-crowd regime: hold every node's first
-            # liveness sweep until the join storm has ended.  A probe
-            # fired mid-storm races thousands of queued joins; at 16k
-            # nodes that raced a handful of members clean out of the
-            # overlay (the 15,996/16,000 gap).  Classic 200 ms schedules
-            # keep the floor at zero so historical event streams stay
-            # byte-identical.
-            self.overlay.first_sweep_floor_ms = len(self.node_ids) * join_spacing_ms
-        plane = self.sim.lane_plane
-        if plane is not None:
-            # Join storms churn routing tables too fast for lanes to pay
-            # off (every table push would eject); absorb only afterward.
-            plane.suspend()
-        try:
-            for index, node_id in enumerate(self.node_ids):
-                node = self.overlay_nodes[node_id]
-                self.sim.call_at(index * join_spacing_ms, node.join)
-            self.sim.run(until=len(self.node_ids) * join_spacing_ms + settle_ms)
-        finally:
-            if plane is not None:
-                plane.resume()
-        if join_spacing_ms < 200.0:
-            # A probe routed into the churning mid-storm rings can
-            # dead-end (hop-count drop), parking its joiner on the 30 s
-            # join-retry timer — past the settle window.  Drive the
-            # world until the stragglers' retries land so a compressed
-            # bootstrap always ends with full membership (bounded: one
-            # retry cycle plus slack).
-            deadline = self.sim.now + 60_000.0
-            while (
-                self.overlay.member_count < len(self.node_ids)
-                and self.sim.now < deadline
-            ):
-                self.sim.run_for(1_000.0)

@@ -103,9 +103,9 @@ class TestNoUnreachableObjects:
         assert_no_garbage(world)
 
     def test_live_world(self, assert_no_garbage):
-        # The live path: a fired or cancelled LiveTimerHandle must let go
-        # of its callback, or every timer and every retransmit state
-        # (_LivePending.timer) is a cycle.
+        # The live path: a retransmit state must drop its timer when the
+        # timer fires or the send retires, or _LivePending.timer -> handle
+        # -> bound _on_timeout -> _LivePending is a cycle.
         with LiveWorld(n_nodes=16, seed=3, time_scale=0.01) as world:
             world.bootstrap()
             rng = world.sim.rng.stream("test.acyclic")

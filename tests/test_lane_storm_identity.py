@@ -104,7 +104,7 @@ def _compressed_run(lanes):
 
 def test_compressed_bootstrap_world_identical_with_lanes_on_and_off():
     laned = _compressed_run("on")
-    assert laned.default_join_spacing_ms() < 200.0
+    assert laned.join_interval_ms() < 200.0
     assert laned.sim.lane_plane.stats()["micro_events_dispatched"] > 0
     assert world_observables(laned) == world_observables(_compressed_run("off"))
 

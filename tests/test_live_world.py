@@ -5,10 +5,13 @@ compression (a virtual minute in well under a second of wall clock), so
 they stay tier-1 fast while exercising the genuine wire path.
 """
 
+import time
+
 import pytest
 
 from repro.fuse.messages import HardNotification
-from repro.net.backends.asynckernel import AsyncioKernel
+from repro.net.backends.asynckernel import STALL_SLACK_MS, AsyncioKernel
+from repro.net.backends.config import LiveTransportConfig
 from repro.net.backends.livenet import LiveNetwork
 from repro.net.backends.liveworld import LiveWorld
 from repro.net.backends.wallclock import WallClock
@@ -43,6 +46,20 @@ class TestWallClock:
             with pytest.raises(ValueError):
                 WallClock(time_scale=bad)
 
+    def test_stall_past_the_horizon_is_charged(self):
+        wall = [50.0]
+        clock = WallClock(time_scale=0.01, time_fn=lambda: wall[0])
+        clock.horizon = 1_000.0 + STALL_SLACK_MS  # head event due at 1 virtual s
+        wall[0] += 0.005
+        assert clock.now == pytest.approx(500.0)  # inside the horizon: runs freely
+        wall[0] += 2.0  # a 2 s wall stall is 200 virtual s
+        assert clock.now == 1_000.0 + STALL_SLACK_MS
+        assert clock.stall_ms == pytest.approx(200_500.0 - 1_000.0 - STALL_SLACK_MS)
+        assert clock.max_lateness_ms == clock.stall_ms
+        clock.horizon = float("inf")  # the head event was dispatched
+        wall[0] += 0.001
+        assert clock.now == pytest.approx(1_000.0 + STALL_SLACK_MS + 100.0)
+
 
 class TestAsyncioKernelContract:
     """The slice of the Simulator surface protocol code relies on.
@@ -59,6 +76,31 @@ class TestAsyncioKernelContract:
         kernel.run_for(120_000.0)
         assert fired == ["a", "b"]
         assert kernel.events_dispatched >= 2
+
+    def test_same_instant_timers_fire_in_schedule_order(self, kernel):
+        fired = []
+        when = kernel.now + 10_000.0
+        for index in range(50):
+            if index % 2:
+                kernel.call_at(when, lambda i=index: fired.append(i))
+            else:
+                kernel.schedule_at(when, lambda i=index: fired.append(i))
+        kernel.run_for(30_000.0)
+        assert fired == list(range(50))
+
+    def test_loop_stall_does_not_expire_the_next_timer(self, kernel):
+        # A callback that blocks the loop for 50 wall ms (25 virtual s at
+        # this scale) is charged to the clock: the timer due 2 virtual s
+        # later still fires within the slack of its due time.
+        base = kernel.now
+        fired_at = []
+        kernel.call_at(base + 10_000.0, lambda: time.sleep(0.05))
+        kernel.call_at(base + 12_000.0, lambda: fired_at.append(kernel.now))
+        kernel.run_for(20_000.0)
+        assert len(fired_at) == 1
+        assert base + 12_000.0 <= fired_at[0] <= base + 12_000.0 + STALL_SLACK_MS
+        assert kernel.clock.stall_ms > 20_000.0
+        assert kernel.clock.max_lateness_ms > 20_000.0
 
     def test_call_at_past_clamps_instead_of_raising(self, kernel):
         # Deliberate deviation from Simulator.call_at (docs/BACKENDS.md):
@@ -118,6 +160,12 @@ class TestLiveWorld:
             live_fid, live_status, _ = world.create_group_sync(0, [1, 2])
             assert live_status == "ok"
             assert live_fid == sim_fid
+
+    def test_time_scale_reaches_the_kernel_beside_a_transport(self):
+        config = LiveTransportConfig(path_latency_ms=10.0)
+        with LiveWorld(n_nodes=2, seed=1, time_scale=0.01, transport=config) as world:
+            assert world.sim.clock.time_scale == 0.01
+            assert world.net.config.path_latency_ms == 10.0
 
     def test_restart_rejoins_with_fresh_socket(self):
         with LiveWorld(n_nodes=6, seed=11, time_scale=SCALE) as world:

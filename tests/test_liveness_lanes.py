@@ -238,7 +238,7 @@ class TestCompressedBootstrapJoinsEveryNode:
         world = FuseWorld(n_nodes=500, seed=7)
         world.bootstrap()
         assert world.overlay.member_count == 500
-        spacing = world.default_join_spacing_ms()
+        spacing = world.join_interval_ms()
         assert spacing < 200.0
         assert world.overlay.first_sweep_floor_ms == 500 * spacing
 

@@ -52,13 +52,13 @@ class TestLazyRouting:
         """The compressed join schedule (> 400 nodes) still yields a
         fully-joined overlay."""
         world = FuseWorld(n_nodes=500, seed=3)
-        assert world.default_join_spacing_ms() < 200.0
+        assert world.join_interval_ms() < 200.0
         world.bootstrap()
         assert world.overlay.member_count == 500
 
     def test_classic_worlds_keep_200ms_schedule(self):
         world = FuseWorld(n_nodes=30, seed=3)
-        assert world.default_join_spacing_ms() == 200.0
+        assert world.join_interval_ms() == 200.0
 
 
 def _sweep_scenario() -> Scenario:
