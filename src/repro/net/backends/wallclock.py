@@ -48,14 +48,17 @@ class WallClock(ClockBase):
     """Wall-anchored clock reporting *virtual* milliseconds.
 
     ``time_scale`` is wall seconds per virtual second: 1.0 runs in real
-    time, 0.02 compresses a virtual minute into 1.2 wall seconds.  The
-    kernel bounds virtual time by ``horizon`` (its earliest undispatched
-    event plus a slack); a read past it charges the excess as a stall by
+    time, 0.02 compresses a virtual minute into 1.2 wall seconds.  While
+    the kernel dispatches, ``now`` is frozen at ``_now``, which the
+    dispatch loop sets to each event's ``when`` as on the simulator's
+    clock; between batches the kernel sets it back to None and the clock
+    follows the wall, bounded by ``horizon`` (the earliest undispatched
+    event plus a slack).  A read past it charges the excess as a stall by
     moving the origin forward, so virtual time skips the stall.
     ``stall_ms`` totals the charges, ``max_lateness_ms`` is the largest.
     """
 
-    __slots__ = ("_time_fn", "_scale", "_origin", "horizon", "stall_ms", "max_lateness_ms")
+    __slots__ = ("_now", "_time_fn", "_scale", "_origin", "horizon", "stall_ms", "max_lateness_ms")
 
     def __init__(
         self,
@@ -65,6 +68,7 @@ class WallClock(ClockBase):
         self._scale = validate_positive(time_scale, "time_scale")
         self._time_fn = time_fn
         self._origin = time_fn()
+        self._now = None
         self.horizon = math.inf
         self.stall_ms = 0.0
         self.max_lateness_ms = 0.0
@@ -76,6 +80,9 @@ class WallClock(ClockBase):
     @property
     def now(self) -> float:
         """Current virtual time in milliseconds."""
+        frozen = self._now
+        if frozen is not None:
+            return frozen
         now = (self._time_fn() - self._origin) * 1000.0 / self._scale
         horizon = self.horizon
         if now <= horizon:

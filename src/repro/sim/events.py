@@ -158,7 +158,7 @@ class TimerHandle:
         so only reschedule timers owned by state that cannot outlive the
         callback's assumptions (e.g. a host incarnation).
         """
-        if when < self._clock.now:
+        if not when >= self._clock.now:  # inverted so that NaN fails it too
             raise ValueError(
                 f"cannot reschedule into the past: now={self._clock.now} when={when}"
             )
@@ -170,7 +170,7 @@ class TimerHandle:
 
     def reschedule_after(self, delay: float) -> bool:
         """Move a still-pending timer to ``delay`` ms from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"negative delay: {delay}")
         return self.reschedule_at(self._clock.now + delay)
 

@@ -25,7 +25,9 @@ Two scheduling surfaces exist:
 ``run()`` is the hot loop: it pops and dispatches straight off the heap
 (shedding cancelled entries inline) instead of doing a peek pass plus a
 pop pass per event; ``step()`` remains as the single-event compatibility
-wrapper used by synchronous drivers.
+wrapper used by synchronous drivers.  The live backend's kernel,
+:class:`repro.net.backends.asynckernel.AsyncioKernel`, is a subclass that
+runs this same loop, paced by a wall clock.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import gc
 from heapq import heappop
 from typing import Any, Callable, Optional
 
+from repro.net.backends.base import ClockBase
 from repro.sim.clock import Clock
 from repro.sim.events import EventQueue, TimerHandle
 from repro.sim.metrics import MetricsRegistry
@@ -47,10 +50,16 @@ class Simulator:
     Args:
         seed: master seed for all derived random streams.
         trace: optionally record every dispatched event in a TraceLog.
+        clock: a fresh virtual :class:`Clock` unless the live subclass,
+            :class:`repro.net.backends.asynckernel.AsyncioKernel`, passes
+            its wall clock; it must read back the dispatch loop's
+            ``clock._now = when`` write as ``now`` for the whole dispatch.
     """
 
-    def __init__(self, seed: int = 0, trace: bool = False) -> None:
-        self.clock = Clock()
+    def __init__(
+        self, seed: int = 0, trace: bool = False, clock: Optional[ClockBase] = None
+    ) -> None:
+        self.clock = Clock() if clock is None else clock
         self.queue = EventQueue()
         self.rng = RngStreams(seed)
         self.metrics = MetricsRegistry(self.clock)
@@ -74,16 +83,14 @@ class Simulator:
     def call_at(self, when: float, callback: Callable[[], Any], label: str = "") -> TimerHandle:
         """Schedule ``callback`` at absolute virtual time ``when`` (ms)."""
         clock = self.clock
-        if when < clock.now:
-            raise ValueError(
-                f"cannot schedule in the past: now={clock.now} when={when}"
-            )
+        if not when >= clock.now:  # inverted so that NaN fails it too
+            when = self._before_now(when)
         queue = self.queue
         return TimerHandle(queue, clock, queue.push(when, callback, label), when, callback, label)
 
     def call_after(self, delay: float, callback: Callable[[], Any], label: str = "") -> TimerHandle:
         """Schedule ``callback`` after ``delay`` milliseconds of virtual time."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"negative delay: {delay}")
         return self.call_at(self.clock.now + delay, callback, label)
 
@@ -96,21 +103,25 @@ class Simulator:
         """Fire-and-forget ``call_at``: no :class:`TimerHandle` is created,
         so the event cannot be cancelled or rescheduled.  Hot paths that
         never keep the handle (e.g. network transmissions) use this."""
-        if when < self.clock.now:
-            raise ValueError(
-                f"cannot schedule in the past: now={self.clock.now} when={when}"
-            )
+        if not when >= self.clock.now:
+            when = self._before_now(when)
         self.queue.push(when, callback, label)
 
     def schedule_after(self, delay: float, callback: Callable[[], Any], label: str = "") -> None:
         """Fire-and-forget ``call_after``."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"negative delay: {delay}")
         self.queue.push(self.clock.now + delay, callback, label)
 
     def schedule_soon(self, callback: Callable[[], Any], label: str = "") -> None:
         """Fire-and-forget ``call_soon``."""
         self.queue.push(self.clock.now, callback, label)
+
+    def _before_now(self, when: float) -> float:
+        """Reject a ``call_at`` / ``schedule_at`` time that is not at or
+        after now (NaN included).  The live subclass overrides this to
+        clamp a past time to now instead."""
+        raise ValueError(f"cannot schedule in the past: now={self.clock.now} when={when}")
 
     # ------------------------------------------------------------------
     # Execution
@@ -248,8 +259,9 @@ class Simulator:
     def run_until(self, predicate: Callable[[], bool], timeout_ms: float) -> bool:
         """Dispatch events one at a time until ``predicate()`` holds, the
         queue drains, or ``timeout_ms`` of virtual time has passed.
-        Returns whether the predicate held — the same contract as
-        :meth:`repro.net.backends.asynckernel.AsyncioKernel.run_until`."""
+        Returns whether the predicate held.  The live subclass,
+        :class:`repro.net.backends.asynckernel.AsyncioKernel`, keeps this
+        contract but waits on its event loop instead."""
         deadline = self.clock.now + timeout_ms
         while not predicate():
             if self.clock.now >= deadline or not self.step():
@@ -266,6 +278,6 @@ class Simulator:
 
     def __repr__(self) -> str:
         return (
-            f"Simulator(now={self.clock.now:.1f}ms, pending={len(self.queue)}, "
+            f"{type(self).__name__}(now={self.clock.now:.1f}ms, pending={len(self.queue)}, "
             f"dispatched={self._dispatched})"
         )

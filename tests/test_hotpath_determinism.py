@@ -182,8 +182,12 @@ class TestReschedule:
         sim.call_at(50.0, lambda: None)
         handle = sim.call_at(100.0, lambda: None)
         sim.run(max_events=1)
-        with pytest.raises(ValueError):
-            handle.reschedule_at(10.0)
+        for when in (10.0, float("nan")):
+            with pytest.raises(ValueError):
+                handle.reschedule_at(when)
+        for delay in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                handle.reschedule_after(delay)
 
     def test_reschedule_preserves_tie_break_order(self):
         """A rescheduled timer consumes a fresh seq, so it runs after

@@ -16,6 +16,7 @@ from repro.net.backends.livenet import LiveNetwork
 from repro.net.backends.liveworld import LiveWorld
 from repro.net.backends.wallclock import WallClock
 from repro.net.node import Host
+from repro.sim.trace import TraceLog
 
 # Aggressive compression for tests: 1 virtual minute ≈ 0.12 wall seconds.
 SCALE = 0.002
@@ -111,10 +112,16 @@ class TestAsyncioKernelContract:
         assert fired == [1]
 
     def test_negative_delay_still_raises(self, kernel):
+        for delay in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                kernel.call_after(delay, lambda: None)
+            with pytest.raises(ValueError):
+                kernel.schedule_after(delay, lambda: None)
+        # A NaN time is not a past instant to clamp: it raises too.
         with pytest.raises(ValueError):
-            kernel.call_after(-1.0, lambda: None)
+            kernel.call_at(float("nan"), lambda: None)
         with pytest.raises(ValueError):
-            kernel.schedule_after(-1.0, lambda: None)
+            kernel.schedule_at(float("nan"), lambda: None)
 
     def test_cancel_and_active(self, kernel):
         fired = []
@@ -134,6 +141,38 @@ class TestAsyncioKernelContract:
         kernel.run_for(200_000.0)
         assert fired == [1]
         assert handle.reschedule_after(5_000.0) is False  # already fired
+
+    def test_clock_stands_still_inside_a_dispatch(self, kernel):
+        # A callback that blocks the loop for 20 wall ms (10 virtual s)
+        # reads its event's time throughout, as on the simulator, and a
+        # timer it schedules counts from that time, not from the wall.
+        when = kernel.now + 10_000.0
+        seen = []
+
+        def callback():
+            seen.append(kernel.now)
+            time.sleep(0.02)
+            seen.append(kernel.now)
+            kernel.call_after(5_000.0, lambda: seen.append(kernel.now))
+
+        kernel.call_at(when, callback)
+        kernel.run_for(30_000.0)
+        assert seen == [when, when, when + 5_000.0]
+
+    def test_trace_records_every_dispatch(self):
+        kernel = AsyncioKernel(seed=1, time_scale=SCALE, trace=True)
+        try:
+            base = kernel.now + 5_000.0
+            for index, offset in enumerate((2_000.0, 0.0, 0.0, 1_000.0)):
+                kernel.call_at(base + offset, lambda: None, label=f"e{index}")
+            kernel.run_for(20_000.0)
+            assert isinstance(kernel.trace, TraceLog)
+            records = kernel.trace.filter(category="dispatch")
+            assert [(r.time, r.message) for r in records] == [
+                (base, "e1"), (base, "e2"), (base + 1_000.0, "e3"), (base + 2_000.0, "e0"),
+            ]
+        finally:
+            kernel.close()
 
     def test_run_until_predicate(self, kernel):
         state = {"hit": False}

@@ -129,13 +129,24 @@ class TestSimulator:
         sim = Simulator()
         sim.call_at(10.0, lambda: None)
         sim.run()
-        with pytest.raises(ValueError):
-            sim.call_at(5.0, lambda: None)
+        for when in (5.0, float("nan")):
+            with pytest.raises(ValueError):
+                sim.call_at(when, lambda: None)
+            with pytest.raises(ValueError):
+                sim.schedule_at(when, lambda: None)
 
     def test_negative_delay_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            sim.call_after(-1.0, lambda: None)
+        sim = Simulator(seed=1)
+        fired = []
+        sim.call_at(5.0, lambda: fired.append(sim.now))
+        sim.call_at(10.0, lambda: fired.append(sim.now))
+        for delay in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                sim.call_after(delay, lambda: fired.append(sim.now))
+            with pytest.raises(ValueError):
+                sim.schedule_after(delay, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [5.0, 10.0]
 
     def test_run_until_advances_clock_even_if_queue_drains(self):
         sim = Simulator()
