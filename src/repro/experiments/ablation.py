@@ -19,6 +19,7 @@ grid (one world per cell), the repair study a two-point grid over
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -125,8 +126,7 @@ def alternative_deployment(kind: str, n_nodes: int, n_groups: int, group_size: i
         handle = services[root].create_group(members)
         handle.on_live(lambda _g: done.append("ok"))
         handle.on_notified(lambda _g, reason: done.append(reason.value))
-        while not done and sim.step():
-            pass
+        sim.run_until(lambda: bool(done), timeout_ms=math.inf)
     return sim, ledger
 
 

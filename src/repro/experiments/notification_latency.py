@@ -96,10 +96,7 @@ def _trial(spec: TrialSpec) -> Measurements:
         t0 = world.now
         world.fuse(signaller).signal_failure(fid)
         # Run until every member heard (bounded patience).
-        deadline = t0 + 120_000.0
-        while len(times) < len(everyone) and world.now < deadline:
-            if not world.sim.step():
-                break
+        world.sim.run_until(lambda: len(times) >= len(everyone), timeout_ms=120_000.0)
         for node, when in times.items():
             if node != signaller:
                 member_ms.append(when - t0)
