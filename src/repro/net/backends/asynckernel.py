@@ -21,6 +21,8 @@ from repro.sim.kernel import Simulator
 #: 200 ms initial RTO, so a stall cannot expire a retransmission timer.
 STALL_SLACK_MS = 50.0
 
+_WALL_PACED = "AsyncioKernel is wall-paced: drive it with run_for or run_until"
+
 
 class _ArmingQueue(EventQueue):
     """The simulator's queue; a push due before ``armed_at`` (inf when
@@ -69,7 +71,7 @@ class AsyncioKernel(Simulator):
         limit = clock.now  # charges any lateness past the armed event
         clock._now = limit  # frozen; run() sets it to each event's when
         try:
-            self.run(until=limit)
+            Simulator.run(self, until=limit)
         finally:
             clock._now = None
             head = queue.peek_time()
@@ -84,6 +86,12 @@ class AsyncioKernel(Simulator):
         if when != when:
             return Simulator._before_now(self, when)
         return self.clock.now
+
+    def step(self) -> bool:
+        raise RuntimeError(_WALL_PACED)
+
+    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
+        raise RuntimeError(_WALL_PACED)
 
     def run_for(self, duration_ms: float) -> None:
         """Drive the loop for ``duration_ms`` of virtual time."""

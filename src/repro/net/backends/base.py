@@ -20,11 +20,9 @@ backend can bind the same protocol code to real sockets and a wall clock:
   ack/retry reliability) subclass it and add only ``send``;
 * :class:`SendAttempt` — the one retry/backoff/break machine both
   transports' per-send state subclasses;
-* retry/backoff arithmetic and parameter validation shared by
-  :class:`repro.net.transport.TransportConfig` (simulated) and
-  :class:`repro.net.backends.config.LiveTransportConfig` (wire), so the
-  two channels cannot silently drift apart — the validation contract
-  matches :meth:`repro.net.topology.Topology.add_link`'s (reject NaN,
+* parameter validation for :class:`repro.net.transport.TransportConfig`
+  and :class:`~repro.net.backends.wallclock.WallClock`, matching
+  :meth:`repro.net.topology.Topology.add_link`'s contract (reject NaN,
   infinity, and non-positive values with a clear error).
 
 This module must stay import-light (stdlib only): both
@@ -34,7 +32,7 @@ This module must stay import-light (stdlib only): both
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 
 # ----------------------------------------------------------------------
@@ -96,23 +94,6 @@ def validate_retry_count(value: int, what: str) -> int:
     if value < 0:
         raise ValueError(f"{what} must be non-negative")
     return value
-
-
-def retry_schedule_ms(rto_initial_ms: float, rto_backoff: float, max_retries: int) -> List[float]:
-    """Cumulative delay before each retransmission attempt.
-
-    The arithmetic both channels share: attempt k (1-based) fires
-    ``rto_initial * (backoff^0 + ... + backoff^(k-1))`` ms after the
-    original transmission.
-    """
-    delays: List[float] = []
-    rto = rto_initial_ms
-    total = 0.0
-    for _ in range(max_retries):
-        total += rto
-        delays.append(total)
-        rto *= rto_backoff
-    return delays
 
 
 # ----------------------------------------------------------------------

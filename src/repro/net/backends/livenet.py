@@ -6,8 +6,9 @@ implement :class:`repro.net.backends.base.NetworkBackend`): hosts call
 ``on_fail`` fires after retries exhaust.  The reliability layer mirrors
 the simulator's TCP model on top of datagrams — per-pair sequence
 numbers, receiver acks, retransmission at exponentially backed-off
-virtual RTOs, a broken "connection" after ``max_retries`` — so the same
-``TransportConfig`` vocabulary tunes both backends.
+virtual RTOs, a broken "connection" after ``max_retries`` — so one
+:class:`~repro.net.transport.TransportConfig` tunes both backends; the
+wire applies its RTO, backoff, retry count and jitter.
 
 Fault injection happens on the wire, at the codec boundary of the
 *receiving* endpoint:
@@ -23,13 +24,13 @@ Fault injection happens on the wire, at the codec boundary of the
   lazy ``net.gray_drops`` counter as the sim;
 * crash — :meth:`LiveNetwork.crash_host` closes the victim's UDP socket,
   so in-flight and future frames hit a dead port;
-* latency — delivery is deferred by ``path_latency_ms`` scaled by
+* latency — delivery is deferred by :data:`PATH_LATENCY_MS` scaled by
   ``faults.latency_factor`` (localhost is effectively instant, so the
   synthetic latency stands in for the simulated topology's paths).
 
 Known deviations from the simulator (see docs/BACKENDS.md): no per-send
-CPU-occupancy model (real serialization time replaces it), no TCP
-connection-setup round trip, and acks are exempt from fault checks —
+CPU-occupancy model (real serialization time replaces it, so the config's
+send/receive overheads are unused), no TCP connection-setup round trip, and acks are exempt from fault checks —
 the simulator models a message's whole reliable exchange as one draw,
 so applying faults to the data frame alone is what preserves parity.
 """
@@ -42,10 +43,10 @@ from typing import Callable, Dict, Optional, Set, Tuple, TYPE_CHECKING
 from repro.net.address import NodeId
 from repro.net.backends import codec
 from repro.net.backends.base import NetworkBackend, SendAttempt
-from repro.net.backends.config import LiveTransportConfig
 from repro.net.faults import FaultInjector
 from repro.net.message import Message
 from repro.net.topology import GilbertElliott, _validate_probability
+from repro.net.transport import TransportConfig
 from repro.sim.metrics import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,6 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 FailureCallback = Callable[[NodeId, Message], None]
 
 _PairKey = Tuple[NodeId, NodeId]
+
+#: Virtual one-way latency added to every delivery, standing in for the
+#: simulated topology's path latency.
+PATH_LATENCY_MS = 30.0
 
 
 class LiveLossModel:
@@ -70,7 +75,7 @@ class LiveLossModel:
         self._burst_params: Optional[Tuple[float, float, float, float]] = None
         self._chains: Dict[_PairKey, GilbertElliott] = {}
 
-    def set_uniform_loss(self, loss: float, kinds=None) -> None:
+    def set_uniform_loss(self, loss: float) -> None:
         self._uniform_loss = _validate_probability(loss, "loss")
 
     def current_loss(self, src: NodeId, dst: NodeId) -> float:
@@ -82,7 +87,6 @@ class LiveLossModel:
         p_b2g: float,
         loss_good: float = 0.0,
         loss_bad: float = 0.3,
-        kinds=None,
     ) -> int:
         self._burst_params = (
             _validate_probability(p_g2b, "p_g2b"),
@@ -217,10 +221,10 @@ class LiveNetwork(NetworkBackend):
     def __init__(
         self,
         sim: "AsyncioKernel",
-        config: Optional[LiveTransportConfig] = None,
+        config: Optional[TransportConfig] = None,
         faults: Optional[FaultInjector] = None,
     ) -> None:
-        super().__init__(sim, config or LiveTransportConfig(), faults or FaultInjector())
+        super().__init__(sim, config or TransportConfig(), faults or FaultInjector())
         self.loss_model = LiveLossModel()
         self._transports: Dict[NodeId, asyncio.DatagramTransport] = {}
         self._addrs: Dict[NodeId, Tuple[str, int]] = {}
@@ -369,7 +373,7 @@ class LiveNetwork(NetworkBackend):
             return
 
         # Synthetic path latency stands in for the simulated topology.
-        latency = self.config.path_latency_ms * faults.latency_factor(src, dst)
+        latency = PATH_LATENCY_MS * faults.latency_factor(src, dst)
         jitter = self._rng.uniform(0.0, self.config.jitter_fraction) * latency
         self.sim.schedule_after(
             latency + jitter,

@@ -28,8 +28,8 @@ from typing import Optional
 
 from repro.fuse.config import FuseConfig
 from repro.net.backends.asynckernel import AsyncioKernel
-from repro.net.backends.config import LiveTransportConfig
 from repro.net.backends.livenet import LiveNetwork
+from repro.net.transport import TransportConfig
 from repro.overlay.skipnet.config import OverlayConfig
 from repro.world import World
 
@@ -59,7 +59,7 @@ class LiveWorld(World):
         time_scale: float = 0.02,
         overlay_config: Optional[OverlayConfig] = None,
         fuse_config: Optional[FuseConfig] = None,
-        transport: Optional[LiveTransportConfig] = None,
+        transport: Optional[TransportConfig] = None,
     ) -> None:
         _raise_fd_limit(n_nodes)
         sim = AsyncioKernel(seed=seed, time_scale=time_scale)

@@ -33,9 +33,9 @@ sizes 16-32 to serial sends at the root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 from repro.net.backends.base import (
-    retry_schedule_ms,
     validate_fraction,
     validate_non_negative,
     validate_positive,
@@ -45,7 +45,13 @@ from repro.net.backends.base import (
 
 @dataclass
 class TransportConfig:
-    """Timing and retry knobs for the TCP-like channel."""
+    """Timing and retry knobs for the TCP-like channel.
+
+    Both backends take it: the wire
+    (:class:`repro.net.backends.livenet.LiveNetwork`) applies the RTO,
+    backoff, retry count and jitter; the send/receive overheads and the
+    connection-setup round trips are simulator-only (docs/BACKENDS.md).
+    """
 
     send_overhead_ms: float = 2.8
     """CPU time to serialize and hand one message to the network (paper:
@@ -74,9 +80,9 @@ class TransportConfig:
     the route latency (queueing noise)."""
 
     def __post_init__(self) -> None:
-        # Shared validation contract with the live backend's
-        # LiveTransportConfig (repro.net.backends.base): NaN, infinity,
-        # and out-of-range values all fail at construction.
+        # The Topology.add_link validation contract
+        # (repro.net.backends.base): NaN, infinity, and out-of-range
+        # values all fail at construction.
         self.send_overhead_ms = validate_non_negative(self.send_overhead_ms, "send_overhead_ms")
         self.recv_overhead_ms = validate_non_negative(self.recv_overhead_ms, "recv_overhead_ms")
         self.connection_setup_rtts = validate_non_negative(
@@ -89,9 +95,18 @@ class TransportConfig:
             raise ValueError("rto_backoff must be >= 1")
         self.jitter_fraction = validate_fraction(self.jitter_fraction, "jitter_fraction")
 
-    def retry_schedule_ms(self) -> list:
-        """Cumulative delay before each retransmission attempt."""
-        return retry_schedule_ms(self.rto_initial_ms, self.rto_backoff, self.max_retries)
+    def retry_schedule_ms(self) -> List[float]:
+        """Cumulative delay before each retransmission attempt: attempt k
+        (1-based) fires ``rto_initial * (backoff^0 + ... + backoff^(k-1))``
+        ms after the original transmission."""
+        delays: List[float] = []
+        rto = self.rto_initial_ms
+        total = 0.0
+        for _ in range(self.max_retries):
+            total += rto
+            delays.append(total)
+            rto *= self.rto_backoff
+        return delays
 
     def worst_case_delivery_extra_ms(self) -> float:
         """Upper bound on retransmission-induced extra delay."""

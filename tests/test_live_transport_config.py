@@ -1,18 +1,18 @@
-"""LiveTransportConfig validation (the Topology.add_link contract) and
-the retry arithmetic shared between the simulated and wire channels."""
+"""TransportConfig validation (the Topology.add_link contract) and the
+retry arithmetic the simulated and wire channels share through it."""
 
 import math
 
 import pytest
 
+from repro.net.backends.asynckernel import AsyncioKernel
 from repro.net.backends.base import (
-    retry_schedule_ms,
     validate_fraction,
     validate_non_negative,
     validate_positive,
     validate_retry_count,
 )
-from repro.net.backends.config import LiveTransportConfig
+from repro.net.backends.livenet import LiveNetwork
 from repro.net.transport import TransportConfig
 
 
@@ -54,8 +54,11 @@ class TestValidationHelpers:
 
 
 class TestLiveTransportConfig:
+    """Named for the wire config it once tested: the wire now takes
+    TransportConfig, so these run against that."""
+
     def test_defaults_valid(self):
-        cfg = LiveTransportConfig()
+        cfg = TransportConfig()
         assert cfg.rto_initial_ms == 200.0
         assert cfg.max_retries == 4
 
@@ -71,35 +74,36 @@ class TestLiveTransportConfig:
             {"max_retries": -1},
             {"jitter_fraction": 1.0},
             {"jitter_fraction": NAN},
-            {"path_latency_ms": -1.0},
-            {"path_latency_ms": NAN},
+            {"send_overhead_ms": -1.0},
+            {"send_overhead_ms": NAN},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
-            LiveTransportConfig(**kwargs)
+            TransportConfig(**kwargs)
 
     def test_rejects_non_numbers(self):
         with pytest.raises(TypeError):
-            LiveTransportConfig(rto_initial_ms="fast")
+            TransportConfig(rto_initial_ms="fast")
 
     def test_zero_path_latency_allowed(self):
-        assert LiveTransportConfig(path_latency_ms=0.0).path_latency_ms == 0.0
+        assert TransportConfig(send_overhead_ms=0.0).send_overhead_ms == 0.0
 
 
 class TestSharedRetryArithmetic:
     def test_schedule_matches_simulated_transport(self):
         sim_cfg = TransportConfig(rto_initial_ms=100, rto_backoff=2.0, max_retries=3)
-        live_cfg = LiveTransportConfig(rto_initial_ms=100, rto_backoff=2.0, max_retries=3)
-        assert sim_cfg.retry_schedule_ms() == live_cfg.retry_schedule_ms() == [100, 300, 700]
-        assert (
-            sim_cfg.worst_case_delivery_extra_ms()
-            == live_cfg.worst_case_delivery_extra_ms()
-            == 700
-        )
+        kernel = AsyncioKernel(seed=1, time_scale=0.01)
+        try:
+            live_cfg = LiveNetwork(kernel, config=sim_cfg).config
+        finally:
+            kernel.close()
+        assert live_cfg is sim_cfg
+        assert live_cfg.retry_schedule_ms() == [100, 300, 700]
+        assert live_cfg.worst_case_delivery_extra_ms() == 700
 
     def test_zero_retries_empty_schedule(self):
-        assert retry_schedule_ms(200.0, 2.0, 0) == []
+        assert TransportConfig(max_retries=0).retry_schedule_ms() == []
 
     def test_simulated_config_gained_nan_checks(self):
         """The shared contract hardened TransportConfig too: NaN used to

@@ -11,11 +11,11 @@ import pytest
 
 from repro.fuse.messages import HardNotification
 from repro.net.backends.asynckernel import STALL_SLACK_MS, AsyncioKernel
-from repro.net.backends.config import LiveTransportConfig
-from repro.net.backends.livenet import LiveNetwork
+from repro.net.backends.livenet import LiveLossModel, LiveNetwork
 from repro.net.backends.liveworld import LiveWorld
 from repro.net.backends.wallclock import WallClock
 from repro.net.node import Host
+from repro.net.transport import TransportConfig
 from repro.sim.trace import TraceLog
 
 # Aggressive compression for tests: 1 virtual minute ≈ 0.12 wall seconds.
@@ -180,6 +180,20 @@ class TestAsyncioKernelContract:
         assert kernel.run_until(lambda: state["hit"], timeout_ms=100_000.0)
         assert not kernel.run_until(lambda: False, timeout_ms=5_000.0)
 
+    def test_step_is_not_wall_paced_so_it_raises(self, kernel):
+        kernel.call_after(1_000.0, lambda: None)
+        with pytest.raises(RuntimeError, match="run_for or run_until"):
+            kernel.step()
+
+    def test_run_is_not_wall_paced_so_it_raises(self, kernel):
+        fired = []
+        kernel.call_after(60_000.0, lambda: fired.append(1))
+        with pytest.raises(RuntimeError, match="run_for or run_until"):
+            kernel.run()
+        assert fired == []  # nothing dispatched ahead of the wall
+        kernel.run_for(120_000.0)
+        assert fired == [1]
+
 
 class TestLiveWorld:
     """Live-only behaviour; the shared World surface is tested on both
@@ -201,10 +215,18 @@ class TestLiveWorld:
             assert live_fid == sim_fid
 
     def test_time_scale_reaches_the_kernel_beside_a_transport(self):
-        config = LiveTransportConfig(path_latency_ms=10.0)
+        config = TransportConfig(rto_initial_ms=100.0)
         with LiveWorld(n_nodes=2, seed=1, time_scale=0.01, transport=config) as world:
             assert world.sim.clock.time_scale == 0.01
-            assert world.net.config.path_latency_ms == 10.0
+            assert world.net.config is config
+
+    def test_loss_model_rejects_link_kinds(self):
+        # The wire has no modeled links, so there are no kinds to filter.
+        model = LiveLossModel()
+        with pytest.raises(TypeError):
+            model.set_uniform_loss(0.1, kinds=["oc3"])
+        with pytest.raises(TypeError):
+            model.set_uniform_burst(0.1, 0.5, kinds=["oc3"])
 
     def test_restart_rejoins_with_fresh_socket(self):
         with LiveWorld(n_nodes=6, seed=11, time_scale=SCALE) as world:

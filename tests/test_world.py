@@ -7,17 +7,22 @@ own class: determinism and the Mercator check here, the socket-level
 tests in ``tests/test_live_world.py``.
 """
 
+import contextlib
+
 import pytest
 
 from repro import FuseWorld
 from repro.net import MercatorConfig
 from repro.net.backends.liveworld import LiveWorld
+from repro.net.transport import TransportConfig
 
 LIVE_SCALE = 0.002
 
 
 class _WorldSurface:
-    """Tests of :class:`repro.world.World`; subclasses supply ``world``."""
+    """Tests of :class:`repro.world.World`; subclasses supply the
+    ``world`` fixture and ``bootstrapped(**kwargs)``, a context manager
+    over a fresh bootstrapped world."""
 
     def test_bootstrap_joins_everyone(self, world):
         assert world.overlay.member_count == len(world.node_ids)
@@ -70,11 +75,26 @@ class _WorldSurface:
             world.close()
         world.close()
 
+    def test_transport_config_reaches_the_network(self):
+        transport = TransportConfig(rto_initial_ms=100.0, max_retries=2)
+        with self.bootstrapped(transport=transport) as world:
+            assert world.net.config is transport
+            fid, status, _ = world.create_group_sync(0, [1, 2])
+            assert status == "ok" and fid is not None
+
 
 class TestFuseWorld(_WorldSurface):
     @pytest.fixture
     def world(self, tiny_world):
         return tiny_world
+
+    @staticmethod
+    def bootstrapped(**kwargs):  # a simulated world holds nothing to close
+        world = FuseWorld(
+            n_nodes=12, seed=11, mercator=MercatorConfig(n_hosts=12, n_as=4), **kwargs
+        )
+        world.bootstrap()
+        return world
 
     def test_mercator_must_cover_nodes(self):
         with pytest.raises(ValueError):
@@ -98,6 +118,12 @@ class TestFuseWorld(_WorldSurface):
 class TestLiveWorld(_WorldSurface):
     @pytest.fixture
     def world(self):
-        with LiveWorld(n_nodes=6, seed=11, time_scale=LIVE_SCALE) as world:
+        with self.bootstrapped() as world:
+            yield world
+
+    @staticmethod
+    @contextlib.contextmanager
+    def bootstrapped(**kwargs):
+        with LiveWorld(n_nodes=6, seed=11, time_scale=LIVE_SCALE, **kwargs) as world:
             world.bootstrap(settle_ms=2_000.0)
             yield world
