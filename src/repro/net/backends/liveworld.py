@@ -19,7 +19,8 @@ that is what the parity harness in :mod:`repro.scenarios.parity` leans on.
 takes 1.2 s of wall clock), which is how the soak and CI runs keep
 multi-virtual-minute scenarios inside seconds of real time.  The kernel
 charges event-loop stalls to the clock, so ``bootstrap`` is the shared
-:meth:`repro.world.World.bootstrap` schedule: no join waves.
+:meth:`repro.world.World.bootstrap` schedule and straggler wait, after
+the sockets open: no join waves.
 """
 
 from __future__ import annotations
@@ -68,16 +69,9 @@ class LiveWorld(World):
         super().__init__(sim, net, list(range(n_nodes)), overlay_config, fuse_config)
 
     def bootstrap(self, settle_ms: float = 5_000.0) -> None:
-        """Open every UDP endpoint, run the shared join schedule, and
-        wait for stragglers.
-
-        Unlike a classic simulated bootstrap, the live one always waits:
-        a join whose probe lost a retransmit race parks on the 30 s
-        join-retry timer, past the settle window.
-        """
+        """Open every UDP endpoint, then run :meth:`World.bootstrap`."""
         self.sim.run_coroutine(self.net.open_endpoints())
         super().bootstrap(settle_ms)
-        self.join_stragglers()
 
     def close(self) -> None:
         """Close every socket and the event loop (both idempotent)."""

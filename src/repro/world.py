@@ -116,12 +116,17 @@ class World:
 
     def bootstrap(self, settle_ms: float = 5_000.0) -> None:
         """Join every node into the overlay :meth:`join_interval_ms`
-        apart, then settle; a compressed schedule also waits for
-        stragglers."""
+        apart, settle, then wait for stragglers.
+
+        A probe routed into rings that are still churning can dead-end
+        (hop-count drop), parking its joiner on the 30 s join-retry timer
+        past the settle window, so the world runs on in 1 s steps until
+        every node has joined, for at most 60 s: one retry cycle plus
+        slack.  A world that joined in full runs no further.
+        """
         spacing = self.join_interval_ms()
-        compressed = spacing < 200.0
         start = self.sim.now
-        if compressed:
+        if spacing < 200.0:
             # Compressed flash-crowd regime: hold every node's first
             # liveness sweep until the join storm has ended.  A probe
             # fired mid-storm races thousands of queued joins; at 16k
@@ -142,17 +147,6 @@ class World:
         finally:
             if plane is not None:
                 plane.resume()
-        if compressed:
-            self.join_stragglers()
-
-    def join_stragglers(self) -> None:
-        """Drive the world until every node has joined, for at most 60 s.
-
-        A probe routed into rings that are still churning can dead-end
-        (hop-count drop), parking its joiner on the 30 s join-retry
-        timer — past the settle window.  Bounded: one retry cycle plus
-        slack.
-        """
         deadline = self.sim.now + 60_000.0
         while self.overlay.member_count < len(self.node_ids) and self.sim.now < deadline:
             self.sim.run_for(1_000.0)

@@ -109,6 +109,13 @@ class TestFuseWorld(_WorldSurface):
 
         assert run(9) == run(9)
 
+    def test_fig7_world_bootstraps_everyone(self):
+        # Fig 7's size-16 trial world: node 91's join misses the classic
+        # settle window and only lands after the straggler wait.
+        world = FuseWorld(n_nodes=100, seed=7164925153664416764)
+        world.bootstrap()
+        assert world.overlay.member_count == 100
+
     def test_run_for_minutes_advances_clock(self, world):
         start = world.now
         world.run_for_minutes(2)
