@@ -30,9 +30,10 @@ Fault injection happens on the wire, at the codec boundary of the
 
 Known deviations from the simulator (see docs/BACKENDS.md): no per-send
 CPU-occupancy model (real serialization time replaces it, so the config's
-send/receive overheads are unused), no TCP connection-setup round trip, and acks are exempt from fault checks —
-the simulator models a message's whole reliable exchange as one draw,
-so applying faults to the data frame alone is what preserves parity.
+send/receive overheads are unused), no TCP connection-setup round trip,
+and acks are exempt from fault checks — the simulator models a
+message's whole reliable exchange as one draw, so applying faults to the
+data frame alone is what preserves parity.
 """
 
 from __future__ import annotations
