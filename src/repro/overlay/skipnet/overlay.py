@@ -110,7 +110,15 @@ class SkipNetOverlay:
         host = node.host
         if not host.alive:
             return
-        node.set_table(self.rings.table_for(name))
+        table = self.rings.table_for(name)
+        if node.joined:  # a joined node holds a table
+            current = node.table
+            if (
+                current.leaf_set == table.leaf_set
+                and current.ring_neighbors == table.ring_neighbors
+            ):
+                return  # nothing changed: keep the node (and its lane) as it is
+        node.set_table(table)
 
     # ------------------------------------------------------------------
     # Lookups

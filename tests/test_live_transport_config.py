@@ -12,8 +12,12 @@ from repro.net.backends.base import (
     validate_positive,
     validate_retry_count,
 )
-from repro.net.backends.livenet import LiveNetwork
+from repro.net.backends.livenet import LiveNetwork, _LivePending
+from repro.net.message import Message
+from repro.net.network import Network, _SendAttemptState
+from repro.net.topology import Topology
 from repro.net.transport import TransportConfig
+from repro.sim import Simulator
 
 
 NAN = float("nan")
@@ -101,6 +105,46 @@ class TestSharedRetryArithmetic:
         assert live_cfg is sim_cfg
         assert live_cfg.retry_schedule_ms() == [100, 300, 700]
         assert live_cfg.worst_case_delivery_extra_ms() == 700
+
+    @pytest.mark.parametrize("backend", ["sim", "live"])
+    @pytest.mark.parametrize(
+        "config",
+        [TransportConfig(), TransportConfig(rto_initial_ms=70.0, rto_backoff=1.7, max_retries=6)],
+    )
+    def test_lost_segments_follow_the_schedule(self, backend, config):
+        """The delays a send backs off by add up to ``retry_schedule_ms``,
+        and loss ``max_retries + 1`` breaks the connection — on the
+        simulated transport and on the wire."""
+        if backend == "sim":
+            topo = Topology()
+            router = topo.add_router()
+            topo.attach_host(0, router)
+            topo.attach_host(1, router)
+            net = Network(Simulator(seed=1), topo, config=config)
+            attempt = _SendAttemptState(net, 0, 1, Message(), None, False, None, 0)
+            close = None
+        else:
+            kernel = AsyncioKernel(seed=1, time_scale=0.01)
+            net = LiveNetwork(kernel, config=config)
+            attempt = _LivePending(net, 0, 1, 0, b"", "Message", None, 0)
+            close = kernel.close
+        try:
+            net._mark_connected(0, 1)
+            elapsed, schedule = 0.0, []
+            for _ in range(config.max_retries):
+                delay = attempt._segment_lost()
+                assert delay is not None
+                elapsed += delay
+                schedule.append(elapsed)
+            assert schedule == config.retry_schedule_ms()
+            assert net.has_connection(0, 1)
+            breaks = net._ctr_breaks.value
+            assert attempt._segment_lost() is None
+            assert net._ctr_breaks.value == breaks + 1
+            assert not net.has_connection(0, 1)
+        finally:
+            if close is not None:
+                close()
 
     def test_zero_retries_empty_schedule(self):
         assert TransportConfig(max_retries=0).retry_schedule_ms() == []

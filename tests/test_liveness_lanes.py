@@ -215,6 +215,33 @@ class TestLaneEjection:
         world.overlay_node(world.node_ids[7]).leave()
         assert plane.ejects > ejects
 
+    def test_identical_table_push_keeps_the_lane(self):
+        world, plane = _laned_world()
+        node = world.overlay_node(world.node_ids[3])
+        assert plane.is_laned(node)
+        ejects, table = plane.ejects, node.table
+        world.overlay._push_table(node.name)
+        assert plane.is_laned(node)
+        assert plane.ejects == ejects
+        assert node.table is table
+
+    def test_restarted_node_still_gets_an_identical_push(self):
+        """A crashed node restarting before any neighbor noticed is still
+        in the rings: its table is unchanged, but it must be pushed again
+        to rejoin and restart its sweeps."""
+        world, _plane = _laned_world()
+        victim = world.node_ids[3]
+        node = world.overlay_node(victim)
+        table = node.table
+        world.crash(victim)
+        assert not node.joined and world.overlay.is_member(node.name)
+        world.net.recover_host(victim)
+        world.overlay.complete_join(node)
+        assert node.joined
+        assert node.table is not table
+        assert node.table.leaf_set == table.leaf_set
+        assert node._sweep_timer is not None
+
     def test_ejected_state_is_scalar_equivalent(self):
         """After a flush, materialized timers keep working: suspicion of
         a crashed neighbor still fires through the scalar path."""
