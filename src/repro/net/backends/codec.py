@@ -1,56 +1,34 @@
-"""Wire codec: length-prefixed JSON frames for the existing Message types.
+"""Wire codec: compact binary frames for the simulator's own Message classes.
 
-The live backend ships the *same* message classes the simulator passes by
-reference — :mod:`repro.overlay.skipnet.messages`,
-:mod:`repro.fuse.messages`, the RPC wrappers in :mod:`repro.net.node` —
-so nothing above the transport changes.  Encoding walks ``__slots__``
-down the MRO (falling back to ``__dict__`` for slot-less subclasses);
-decoding allocates with ``cls.__new__`` and restores fields, which also
-gives the live path its copy-on-send isolation for free: the receiver
-always gets a fresh object.
-
-Frame layout (UDP datagram payload):
-
-    4-byte big-endian length  |  JSON envelope (utf-8)
-
-Envelope:
-
-    {"k": "m", "s": src, "d": dst, "q": seq, "m": <tagged message>}   data
-    {"k": "a", "s": src, "d": dst, "q": seq}                          ack
-
-Tagged values keep JSON round-trips faithful for the two non-JSON shapes
-the message set uses: nested messages (``RouteEnvelope.payload``) encode
-as ``{"__m__": "TypeName", "f": {...}}`` and tuples (e.g.
-``GroupCreateRequest.member_names``) as ``{"__t__": [...]}``.  Dict keys
-are restricted to str/int (int keys round-trip via a key table); the FUSE
-and overlay wire set satisfies this today and :func:`encode_message`
-raises on anything it cannot represent faithfully.
-
-JSON-not-msgpack: the container must not grow dependencies, and the FUSE
-messages are tiny (hex hash digests, names, ints) — framing overhead, not
-serialization speed, dominates on localhost.
+A frame is one struct header (an ack is the header alone) and, for a data
+frame, the type name and the slot values in ``cls._slot_names[1:]`` order,
+each led by a one-byte tag (docs/BACKENDS.md, "Wire format").  Decoding reads
+positionally into ``cls.__new__``, so a receiver always gets a fresh object.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from typing import Any, Dict, Iterable, Optional, Tuple, Type
 
 from repro.net.message import Message
 
-_LEN = struct.Struct(">I")
+_HEAD = struct.Struct(">IBqqq")  # length of what follows it, kind, src, dst, seq
+_ACK_LENGTH = _HEAD.size - 4
+# A tag byte and an i64, an f64, or the u16 byte length of a str / big int or item count.
+_TAG_Q, _TAG_D, _TAG_H = (struct.Struct(">B" + code) for code in "qdH")
 MAX_FRAME_BYTES = 60_000  # stay under the localhost UDP datagram ceiling
+MAX_DEPTH = 32  # containers and nested messages, enforced on both sides of the wire
+_BIG = 1 << 63
 
-_MSG_TAG = "__m__"
-_TUPLE_TAG = "__t__"
-_INTKEYS_TAG = "__ik__"
+_NONE, _TRUE, _FALSE, _INT, _BIGINT, _FLOAT, _STR, _LIST, _TUPLE, _DICT, _MSG = b"NTFiIfsltdm"
+_CONSTANTS = {_NONE: None, _TRUE: True, _FALSE: False}
+_ACK = ord("a")  # a data frame's kind byte is _MSG
 
-
-# ----------------------------------------------------------------------
-# Message type registry
-# ----------------------------------------------------------------------
 _registry: Optional[Dict[str, Type[Message]]] = None
+#: class → (u8-length-prefixed name, wire slots, keeps a __dict__); name → (class, ...)
+_layouts: Dict[type, Tuple[bytes, Tuple[str, ...], bool]] = {}
+_by_name: Dict[bytes, Tuple[type, Tuple[str, ...], bool]] = {}
 
 
 def _walk(cls: Type[Message]) -> Iterable[Type[Message]]:
@@ -60,173 +38,195 @@ def _walk(cls: Type[Message]) -> Iterable[Type[Message]]:
 
 
 def message_registry() -> Dict[str, Type[Message]]:
-    """Name → class map over every Message subclass in the protocol stack.
-
-    Imports the wire-bearing modules first so their classes exist, then
-    walks ``__subclasses__`` recursively — test-local message classes
-    defined later are picked up on the next rebuild (pass-through send
-    never consults the registry, only decode does).
-    """
+    """Name → class map over every Message subclass in the protocol stack,
+    after importing the wire-bearing modules; a class defined later (a
+    test's) is picked up by the next rebuild, which decoding asks for."""
     global _registry
     import repro.fuse.messages  # noqa: F401  (registration side effect)
     import repro.net.node  # noqa: F401
     import repro.overlay.skipnet.messages  # noqa: F401
 
     _registry = {cls.__name__: cls for cls in _walk(Message)}
+    _by_name.clear()
     return _registry
 
 
-def _lookup(type_name: str) -> Type[Message]:
-    reg = _registry if _registry is not None else message_registry()
-    cls = reg.get(type_name)
-    if cls is None:
-        # A class defined after the last build (e.g. in a test module).
-        cls = message_registry().get(type_name)
+def _layout(cls: type) -> Tuple[bytes, Tuple[str, ...], bool]:
+    name = cls.__name__.encode("ascii")
+    _layouts[cls] = (bytes((len(name),)) + name, cls._slot_names[1:], cls.__dictoffset__ != 0)
+    return _layouts[cls]
+
+
+def _lookup(name: bytes) -> Tuple[type, Tuple[str, ...], bool]:
+    type_name = name.decode("ascii")
+    # A miss rebuilds once: the class may postdate the last build (a test's).
+    cls = (_registry or message_registry()).get(type_name) or message_registry().get(type_name)
     if cls is None:
         raise CodecError(f"unknown message type on wire: {type_name!r}")
-    return cls
+    entry = _by_name[name] = (cls,) + (_layouts.get(cls) or _layout(cls))[1:]
+    return entry
 
 
 class CodecError(ValueError):
     """Raised for values the wire format cannot represent faithfully."""
 
 
-# ----------------------------------------------------------------------
-# Tagged value encoding
-# ----------------------------------------------------------------------
-def _encode_value(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, Message):
-        return {_MSG_TAG: value.type_name, "f": _fields_of(value)}
-    if isinstance(value, tuple):
-        return {_TUPLE_TAG: [_encode_value(v) for v in value]}
-    if isinstance(value, list):
-        return [_encode_value(v) for v in value]
-    if isinstance(value, dict):
-        out: Dict[str, Any] = {}
-        int_keys = []
-        for k, v in value.items():
-            if isinstance(k, str):
-                out[k] = _encode_value(v)
-            elif isinstance(k, int) and not isinstance(k, bool):
-                out[str(k)] = _encode_value(v)
-                int_keys.append(str(k))
-            else:
-                raise CodecError(f"unencodable dict key: {k!r}")
-        if int_keys:
-            out[_INTKEYS_TAG] = int_keys
-        return out
-    raise CodecError(f"unencodable value: {value!r} ({type(value).__name__})")
+def _put_count(out: bytearray, tag: int, count: int) -> None:
+    if count > 0xFFFF:
+        raise CodecError(f"frame too large for datagram: {count} bytes or items in one value")
+    out += _TAG_H.pack(tag, count)
 
 
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        if _MSG_TAG in value:
-            return _materialize(value[_MSG_TAG], value["f"])
-        if _TUPLE_TAG in value:
-            return tuple(_decode_value(v) for v in value[_TUPLE_TAG])
-        int_keys = set(value.get(_INTKEYS_TAG, ()))
-        return {
-            (int(k) if k in int_keys else k): _decode_value(v)
-            for k, v in value.items()
-            if k != _INTKEYS_TAG
-        }
-    if isinstance(value, list):
-        return [_decode_value(v) for v in value]
-    return value
+def _put(out: bytearray, value: Any, depth: int) -> None:
+    kind = type(value)
+    if kind is str:
+        raw = value.encode()
+        _put_count(out, _STR, len(raw))
+        out += raw
+    elif kind is int:
+        if -_BIG <= value < _BIG:
+            out += _TAG_Q.pack(_INT, value)
+        else:  # past 64 bits: signed big-endian bytes
+            raw = value.to_bytes(value.bit_length() // 8 + 1, "big", signed=True)
+            _put_count(out, _BIGINT, len(raw))
+            out += raw
+    elif value is None:
+        out.append(_NONE)
+    elif kind is dict or kind is list or kind is tuple or isinstance(value, Message):
+        if depth >= MAX_DEPTH:
+            raise CodecError(f"value nested deeper than {MAX_DEPTH}")
+        depth += 1
+        if kind is dict:
+            _put_count(out, _DICT, len(value))
+            for key, item in value.items():
+                if type(key) is not str and type(key) is not int:
+                    raise CodecError(f"unencodable dict key: {key!r}")
+                _put(out, key, depth)
+                _put(out, item, depth)
+        elif kind is list or kind is tuple:
+            _put_count(out, _LIST if kind is list else _TUPLE, len(value))
+            for item in value:
+                _put(out, item, depth)
+        else:
+            out.append(_MSG)
+            _put(out, value.sender, depth)
+            _put_body(out, value, depth)
+    elif kind is bool:
+        out.append(_TRUE if value else _FALSE)
+    elif kind is float:
+        out += _TAG_D.pack(_FLOAT, value)
+    else:  # exact types only: a subclass (a str Enum, say) is refused, not coerced
+        raise CodecError(f"unencodable value: {value!r} ({kind.__name__})")
 
 
-def _fields_of(message: Message) -> Dict[str, Any]:
-    fields: Dict[str, Any] = {}
-    for cls in type(message).__mro__:
-        for slot in getattr(cls, "__slots__", ()):
-            if slot in fields:
-                continue
-            value = getattr(message, slot, None)
-            fields[slot] = _encode_value(value)
-    inst_dict = getattr(message, "__dict__", None)
-    if inst_dict:
-        for name, value in inst_dict.items():
-            fields.setdefault(name, _encode_value(value))
-    return fields
+def _put_body(out: bytearray, message: Message, depth: int) -> None:
+    cls = type(message)
+    name, slots, has_dict = _layouts.get(cls) or _layout(cls)
+    out += name
+    for slot in slots:
+        _put(out, getattr(message, slot, None), depth)
+    if has_dict:  # slot-less classes (svtree, SWIM, CDN) append their fields
+        _put(out, message.__dict__, depth)
 
 
-def _materialize(type_name: str, fields: Dict[str, Any]) -> Message:
-    cls = _lookup(type_name)
-    message = cls.__new__(cls)
-    for name, value in fields.items():
-        setattr(message, name, _decode_value(value))
-    return message
-
-
-# ----------------------------------------------------------------------
-# Frames
-# ----------------------------------------------------------------------
 def encode_message(src: int, dst: int, seq: int, message: Message) -> bytes:
     """Frame a data message (expects an ack for ``seq``)."""
-    envelope = {
-        "k": "m",
-        "s": src,
-        "d": dst,
-        "q": seq,
-        "m": {_MSG_TAG: message.type_name, "f": _fields_of(message)},
-    }
-    body = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise CodecError(
-            f"frame too large for datagram: {len(body)} bytes ({message.type_name})"
-        )
-    return _LEN.pack(len(body)) + body
+    out = bytearray(_HEAD.size)
+    _put_body(out, message, 0)
+    if len(out) > MAX_FRAME_BYTES:
+        raise CodecError(f"frame too large for datagram: {len(out)} bytes ({message.type_name})")
+    _HEAD.pack_into(out, 0, len(out) - 4, _MSG, src, dst, seq)
+    return bytes(out)
 
 
 def encode_ack(src: int, dst: int, seq: int) -> bytes:
-    envelope = {"k": "a", "s": src, "d": dst, "q": seq}
-    body = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
-    return _LEN.pack(len(body)) + body
+    return _HEAD.pack(_ACK_LENGTH, _ACK, src, dst, seq)
+
+
+def _get(data: bytes, at: int, depth: int) -> Tuple[Any, int]:
+    """The value at ``at`` and the offset after it (a read past the end fails later)."""
+    tag = data[at]
+    if tag == _STR:
+        end = at + 3 + (data[at + 1] << 8 | data[at + 2])
+        return data[at + 3:end].decode(), end
+    if tag == _INT:
+        return _TAG_Q.unpack_from(data, at)[1], at + 9
+    if tag in _CONSTANTS:
+        return _CONSTANTS[tag], at + 1
+    if tag != _DICT and tag != _LIST and tag != _TUPLE and tag != _MSG:
+        if tag == _FLOAT:
+            return _TAG_D.unpack_from(data, at)[1], at + 9
+        if tag != _BIGINT:
+            raise CodecError(f"unknown value tag {tag:#04x}")
+        end = at + 3 + (data[at + 1] << 8 | data[at + 2])
+        value = int.from_bytes(data[at + 3:end], "big", signed=True)
+        if -_BIG <= value < _BIG or end - at - 3 != value.bit_length() // 8 + 1:
+            raise CodecError("big int not in the form the encoder writes")
+        return value, end
+    if depth >= MAX_DEPTH:
+        raise CodecError(f"frame nested deeper than {MAX_DEPTH}")
+    depth += 1
+    if tag == _MSG:
+        sender, at = _get(data, at + 1, depth)
+        message, at = _get_body(data, at, depth)
+        message.sender = sender
+        return message, at
+    count = data[at + 1] << 8 | data[at + 2]
+    at += 3
+    if count > len(data) - at:
+        raise CodecError(f"count {count} runs past the frame")
+    if tag == _DICT:
+        out = {}
+        for _ in range(count):
+            key, at = _get(data, at, depth)
+            if type(key) is not str and type(key) is not int:
+                raise CodecError(f"dict key of type {type(key).__name__}")
+            out[key], at = _get(data, at, depth)
+        if len(out) != count:
+            raise CodecError("repeated dict key")
+        return out, at
+    items = [None] * count
+    for i in range(count):
+        items[i], at = _get(data, at, depth)
+    return (items if tag == _LIST else tuple(items)), at
+
+
+def _get_body(data: bytes, at: int, depth: int) -> Tuple[Message, int]:
+    end = at + 1 + data[at]
+    name = data[at + 1:end]
+    cls, slots, has_dict = _by_name.get(name) or _lookup(name)
+    message = cls.__new__(cls)
+    for slot in slots:
+        value, end = _get(data, end, depth)
+        setattr(message, slot, value)
+    if has_dict:
+        fields, end = _get(data, end, depth)
+        for key, value in fields.items():  # not a dict, or a name not a str: a TypeError
+            setattr(message, key, value)
+    return message, end
 
 
 def decode_frame(data: bytes) -> Tuple[str, int, int, int, Optional[Message]]:
-    """Parse one datagram → (kind, src, dst, seq, message-or-None).
-
-    Raises :class:`CodecError`, and nothing else, on any frame that is
-    not one :func:`encode_message` / :func:`encode_ack` could have
-    written — the caller treats that as wire garbage and drops the
-    datagram.
-    """
-    if len(data) < _LEN.size:
+    """Parse one datagram → (kind, src, dst, seq, message-or-None).  Any
+    frame the encoders could not have written raises :class:`CodecError`
+    and nothing else: the caller drops it as wire garbage."""
+    if len(data) < _HEAD.size:
         raise CodecError(f"short frame: {len(data)} bytes")
-    (length,) = _LEN.unpack_from(data)
-    body = data[_LEN.size:]
-    if len(body) != length:
-        raise CodecError(f"torn frame: header says {length}, got {len(body)}")
+    length, kind, src, dst, seq = _HEAD.unpack_from(data)
+    if length != len(data) - 4:
+        raise CodecError(f"torn frame: header says {length}, got {len(data) - 4}")
+    if kind == _ACK and length == _ACK_LENGTH:
+        return "a", src, dst, seq, None
+    if kind != _MSG:
+        raise CodecError(f"unknown frame kind {kind:#04x}, or an ack with a body")
     try:
-        envelope = json.loads(body.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # incl. JSON / UTF-8 / int-size errors
-        raise CodecError(f"undecodable frame: {exc}") from None
-    if not isinstance(envelope, dict):
-        raise CodecError("malformed envelope: not an object")
-    kind = envelope.get("k")
-    src = envelope.get("s")
-    dst = envelope.get("d")
-    seq = envelope.get("q")
-    # type() rather than isinstance(): bool is an int subclass.
-    if type(kind) is not str or not (type(src) is type(dst) is type(seq) is int):
-        raise CodecError("malformed envelope: k must be a str, s/d/q ints")
-    message: Optional[Message] = None
-    if kind == "m":
-        payload = envelope.get("m")
-        if not isinstance(payload, dict) or _MSG_TAG not in payload:
-            raise CodecError("data frame without tagged message body")
-        try:
-            message = _materialize(payload[_MSG_TAG], payload.get("f", {}))
-        except CodecError:
-            raise
-        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise CodecError(f"malformed message body: {exc!r}") from None
-        # The sender stamp rides the envelope, mirroring the simulated
-        # network's stamp-on-copy (nested messages keep their own).
-        message.sender = src
-    elif kind != "a":
-        raise CodecError(f"unknown frame kind: {kind!r}")
-    return kind, src, dst, seq, message
+        message, at = _get_body(data, _HEAD.size, 0)
+    except (IndexError, struct.error, ValueError, AttributeError, TypeError) as exc:
+        # ValueError covers bad UTF-8 and CodecError itself.
+        raise CodecError(f"malformed message body: {exc}") from None
+    if at != len(data):
+        raise CodecError(f"{len(data) - at} trailing bytes after the message body")
+    # The sender stamp rides the header, mirroring the simulated network's
+    # stamp-on-copy (nested messages keep their own).
+    message.sender = src
+    return "m", src, dst, seq, message

@@ -172,8 +172,12 @@ class _LivePending(SendAttempt):
         net = self.network
         net._ctr_transmissions.value += 1
         net._sendto(self.src, self.dst, self.frame)
-        self.timer = net.sim.call_after(
-            self.rto_ms, self._on_timeout, label=f"rto:{self.type_name}"
+        # The RTO counts from the wall instant the datagram leaves: inside
+        # a batch that runs late the frozen clock lags it, which would
+        # shorten the timeout by the lateness.
+        sim = net.sim
+        self.timer = sim.call_at(
+            sim.clock.wall_ms() + self.rto_ms, self._on_timeout, label=f"rto:{self.type_name}"
         )
 
     def retire(self) -> None:

@@ -94,6 +94,11 @@ class WallClock(ClockBase):
             self.max_lateness_ms = lateness
         return horizon
 
+    def wall_ms(self) -> float:
+        """The wall reading in virtual ms: not frozen, not capped at the
+        horizon, and charging no stall (the instant a datagram leaves)."""
+        return (self._time_fn() - self._origin) * 1000.0 / self._scale
+
     def wall_delay_s(self, virtual_ms: float) -> float:
         """Wall seconds corresponding to ``virtual_ms`` of virtual time."""
         return virtual_ms / 1000.0 * self._scale

@@ -146,6 +146,22 @@ class TestSharedRetryArithmetic:
             if close is not None:
                 close()
 
+    def test_live_rto_counts_from_the_wall_instant_of_the_send(self):
+        """A send inside a dispatch that runs late arms its full RTO from
+        the wall reading, not from the frozen (earlier) event time."""
+        kernel = AsyncioKernel(seed=1, time_scale=1.0)
+        clock = kernel.clock
+        attempt = _LivePending(LiveNetwork(kernel), 0, 1, 0, b"", "Message", None, 0)
+        try:
+            clock._now = clock.wall_ms() - 40.0  # dispatching an event 40 ms late
+            sent_at = clock.wall_ms()
+            attempt.transmit()
+            assert attempt.timer.when >= sent_at + attempt.rto_ms
+        finally:
+            clock._now = None
+            attempt.retire()
+            kernel.close()
+
     def test_zero_retries_empty_schedule(self):
         assert TransportConfig(max_retries=0).retry_schedule_ms() == []
 

@@ -3,7 +3,6 @@ one-way agreement invariant."""
 
 import copy
 import inspect
-import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -151,25 +150,43 @@ _wire_values = st.recursive(
     max_leaves=8,
 )
 
-#: Names a hostile peer reuses to reach the tagged-value and envelope paths.
-_TAGS = ("__m__", "__t__", "__ik__", "__class__", "f", "k", "s", "HardNotification")
-
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=6) | st.sampled_from(_TAGS),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4) | st.sampled_from(_TAGS), inner, max_size=3),
-    max_leaves=6,
-)
+_HEAD_SIZE = 29  # u32 length, u8 kind, i64 src, dst and seq
 
 
-def _slots_of(tree, out):
-    """Every (container, key) position of a decoded JSON tree."""
-    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
-    for key, value in list(items):
-        out.append((tree, key))
-        if isinstance(value, (dict, list)):
-            _slots_of(value, out)
-    return out
+def _layout_of(frame: bytes):
+    """Where a valid frame keeps its tag bytes (the header's kind byte
+    too), its u16 counts and lengths, its type names (the length byte's
+    offset) and each value's (start, end) span."""
+    tags, counts, names, spans = [4], [], [], []
+
+    def body(at):
+        names.append(at)
+        cls = codec.message_registry()[frame[at + 1:at + 1 + frame[at]].decode()]
+        at += 1 + frame[at]
+        for _ in range(len(cls._slot_names) - 1 + (cls.__dictoffset__ != 0)):
+            at = value(at)
+        return at
+
+    def value(start):
+        tags.append(start)
+        tag, at = frame[start:start + 1], start + 1
+        if tag in (b"s", b"I", b"l", b"t", b"d"):
+            counts.append(at)
+            count, at = int.from_bytes(frame[at:at + 2], "big"), at + 2
+            if tag in (b"s", b"I"):
+                at += count
+            for _ in range(0 if tag in (b"s", b"I") else count * (2 if tag == b"d" else 1)):
+                at = value(at)
+        elif tag in (b"i", b"f"):
+            at += 8
+        elif tag == b"m":
+            at = body(value(at))
+        spans.append((start, at))
+        return at
+
+    if frame[4:5] == b"m":
+        assert body(_HEAD_SIZE) == len(frame)
+    return {"tag": tags, "count": counts, "name": names, "nest": spans}
 
 
 def _decodes_or_rejects(data: bytes) -> None:
@@ -194,35 +211,36 @@ class TestCodecRejectsHostileBytes:
     @settings(max_examples=40, deadline=None)
     def test_mutated_valid_frames(self, cls, data):
         message = cls.__new__(cls)
-        for name in cls._slot_names[1:]:  # ``sender`` rides the envelope
+        for name in cls._slot_names[1:]:  # ``sender`` rides the header
             setattr(message, name, data.draw(_wire_values))
         if data.draw(st.booleans()):
             frame = codec.encode_message(1, 2, 3, message)
         else:
             frame = codec.encode_ack(1, 2, 3)
-        body = frame[4:]
+        buf = bytearray(frame)
         if data.draw(st.booleans()):
-            # Structural: replace a value, rename a key, or declare
-            # every key of an object int-keyed.
-            envelope = json.loads(body)
-            container, key = data.draw(st.sampled_from(_slots_of(envelope, [])))
-            op = data.draw(st.sampled_from(("replace", "rename", "int-keys")))
-            if op == "replace" or isinstance(container, list):
-                container[key] = data.draw(_json_values)
-            elif op == "rename":
-                container[data.draw(st.sampled_from(_TAGS))] = container.pop(key)
+            # Structural: flip a tag byte, a count or string length, or a
+            # type-name byte, or nest a value around the depth limit.
+            where = {op: at for op, at in _layout_of(frame).items() if at}
+            op = data.draw(st.sampled_from(sorted(where)))
+            at = data.draw(st.sampled_from(where[op]))
+            if op == "tag":
+                buf[at] = data.draw(st.sampled_from(b"NTFiIfsltdma\x00") | st.integers(0, 255))
+            elif op == "count":
+                buf[at:at + 2] = data.draw(st.integers(0, 0xFFFF)).to_bytes(2, "big")
+            elif op == "name":
+                buf[data.draw(st.integers(at, at + buf[at]))] = data.draw(st.integers(0, 255))
             else:
-                container["__ik__"] = list(container)
-            body = json.dumps(envelope).encode()
+                depth = data.draw(st.integers(codec.MAX_DEPTH - 2, codec.MAX_DEPTH + 2))
+                buf[at[0]:at[1]] = b"l\x00\x01" * depth + b"N"
         else:
             # Bytewise: overwrite, insert or delete a few bytes.
-            buf = bytearray(body)
             for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
-                at = data.draw(st.integers(min_value=0, max_value=len(buf)))
+                at = data.draw(st.integers(min_value=4, max_value=len(buf)))
                 end = data.draw(st.integers(min_value=at, max_value=min(len(buf), at + 4)))
                 buf[at:end] = data.draw(st.binary(max_size=4))
-            body = bytes(buf)
-        _decodes_or_rejects(len(body).to_bytes(4, "big") + body)
+        buf[:4] = (len(buf) - 4).to_bytes(4, "big")  # reach the parser, not the torn-frame check
+        _decodes_or_rejects(bytes(buf))
 
 
 # ---------------------------------------------------------------------------
