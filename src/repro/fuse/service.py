@@ -14,7 +14,10 @@ Protocol summary (paper §6):
   FUSE IDs the sender believes it monitors jointly with that neighbor.  A
   matching hash resets all the (group, neighbor) timers; a mismatch makes
   both sides exchange their id lists and drop — after a grace period —
-  the checking trees they disagree on.
+  the checking trees they disagree on.  The shared ids per neighbor are
+  an index kept at every site that adds or drops a checking link; the
+  overlay watches its keys, so a ping on a link with no shared group on
+  either side calls no FUSE code.
 
 * **Notifications** (§6.4): liveness-tree breaks raise SoftNotifications,
   which spread through the tree, tear down delegate state, and trigger
@@ -34,7 +37,8 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from typing import Dict, List, Optional, Sequence
+from bisect import bisect_left
+from typing import Dict, List, Optional, Tuple
 
 from repro.fuse.api import GroupLedger
 from repro.fuse.config import FuseConfig
@@ -59,6 +63,27 @@ from repro.overlay.skipnet.node import OverlayNode
 _EMPTY_HASH = hashlib.sha1(b"").hexdigest()
 
 
+class _SharedLink:
+    """The groups whose checking tree uses one neighbor link: their fuse
+    ids as a sorted tuple, and the ping payload (its sha1), built on first
+    use.  A link change replaces ``ids`` (never mutates it), so a caller
+    may iterate it while links come and go.  A tuple, not a set: most
+    links carry one group, and a set per entry cost 1.3 MB on
+    ``fault_storm_400``."""
+
+    __slots__ = ("ids", "payload")
+
+    def __init__(self, ids: Tuple[FuseId, ...]) -> None:
+        self.ids = ids
+        self.payload: Optional[dict] = None
+
+    def ping_payload(self) -> dict:
+        if self.payload is None:
+            digest = hashlib.sha1("|".join(self.ids).encode()).hexdigest()
+            self.payload = {"fuse": {"hash": digest}}
+        return self.payload
+
+
 class FuseService(FuseCore):
     """FUSE API and protocol engine attached to one overlay node: the
     shared group lifecycle plus liveness trees over overlay routes."""
@@ -68,7 +93,7 @@ class FuseService(FuseCore):
         "_last_list_sent",
         "_liveness_timeout",
         "_stable_store",
-        "_shared_cache",
+        "_shared",
     )
 
     def __init__(
@@ -80,14 +105,9 @@ class FuseService(FuseCore):
         super().__init__(overlay_node.host, config, ledger)
         self.overlay = overlay_node
         self._last_list_sent: Dict[NodeId, float] = {}
-        # _shared_ids scans every group for link membership — the hottest
-        # FUSE call in steady state (twice per ping, plus evidence on
-        # both ends).  Healthy pings only *reschedule* link timers, so
-        # the scan result for a neighbor is stable until a link to *that
-        # neighbor* appears or goes away: the sites that change a links
-        # key-set (or drop a state that has links) pop the neighbors they
-        # touch from this memo of [ids, sha1, payload] per neighbor.
-        self._shared_cache: Dict[NodeId, list] = {}
+        # neighbor -> the groups whose ``links`` hold it; an entry exists
+        # only while some group uses the link (_index_link/_unindex_link).
+        self._shared: Dict[NodeId, _SharedLink] = {}
         # A (group, link) is declared failed after the overlay's ping
         # period + ping timeout of silence (the paper's 20-80 s window).
         self._liveness_timeout = overlay_node.config.liveness_silence_ms
@@ -105,8 +125,8 @@ class FuseService(FuseCore):
         host.register_handler(GroupRepairRequest, self._on_repair_request)
         host.register_handler(FuseLinkList, self._on_link_list)
 
-        overlay_node.register_payload_provider(self._payload_for)
-        overlay_node.register_ping_listener(self._on_ping_evidence)
+        overlay_node.register_payload_provider(self._payload_for, self._shared)
+        overlay_node.register_ping_listener(self._on_ping_evidence, self._shared)
         overlay_node.register_failure_listener(self._on_neighbor_failure)
         overlay_node.register_upcall(self._on_route_upcall)
 
@@ -117,7 +137,7 @@ class FuseService(FuseCore):
         state and harden into notifications."""
         self.groups.clear()
         self._last_list_sent.clear()
-        self._shared_cache.clear()
+        self._shared.clear()
 
     def _on_host_recover(self) -> None:
         """§3.6 alternative: with stable storage enabled, a recovering
@@ -347,7 +367,8 @@ class FuseService(FuseCore):
         if existing is not None and existing.reschedule_after(self._liveness_timeout):
             return
         state.links[neighbor] = self._make_link_timer(state.fuse_id, neighbor)
-        self._shared_cache.pop(neighbor, None)
+        if existing is None:
+            self._index_link(neighbor, state.fuse_id)
 
     def _make_link_timer(self, fuse_id: FuseId, neighbor: NodeId):
         return self.host.call_after(
@@ -356,70 +377,54 @@ class FuseService(FuseCore):
             label=f"{self.name}:fuse-link",
         )
 
-    def _shared_ids(self, neighbor: NodeId) -> List[FuseId]:
-        if not self.groups:
-            return []  # fast path: dominant during bootstrap at scale
-        entry = self._shared_cache.get(neighbor)
-        if entry is not None:
-            return entry[0]
-        ids = [
-            fuse_id for fuse_id, state in self.groups.items() if neighbor in state.links
-        ]
-        ids.sort()
-        self._shared_cache[neighbor] = [ids, None, None]
-        return ids
+    def _index_link(self, neighbor: NodeId, fuse_id: FuseId) -> None:
+        shared = self._shared.get(neighbor)
+        if shared is None:
+            self._shared[neighbor] = _SharedLink((fuse_id,))
+            return
+        ids = shared.ids
+        at = bisect_left(ids, fuse_id)
+        shared.ids = ids[:at] + (fuse_id,) + ids[at:]
+        shared.payload = None
 
-    @staticmethod
-    def _hash_ids(ids: Sequence[FuseId]) -> str:
-        return hashlib.sha1("|".join(ids).encode()).hexdigest()
+    def _unindex_link(self, neighbor: NodeId, fuse_id: FuseId) -> None:
+        shared = self._shared[neighbor]
+        ids = shared.ids
+        if ids == (fuse_id,):
+            del self._shared[neighbor]
+            return
+        at = ids.index(fuse_id)
+        shared.ids = ids[:at] + ids[at + 1 :]
+        shared.payload = None
 
-    def _shared_hash(self, neighbor: NodeId, ids: List[FuseId]) -> str:
-        """sha1 of the shared-id list, memoized alongside the cached list
-        (the ids of a healthy link hash identically every ping)."""
-        entry = self._shared_cache.get(neighbor)
-        if entry is not None and entry[0] is ids:
-            digest = entry[1]
-            if digest is None:
-                digest = entry[1] = self._hash_ids(ids)
-            return digest
-        return self._hash_ids(ids)
+    def _drop_link(self, state: GroupState, neighbor: NodeId) -> None:
+        timer = state.links.pop(neighbor, None)
+        if timer is not None:
+            timer.cancel()
+            self._unindex_link(neighbor, state.fuse_id)
 
     def _payload_for(self, neighbor: NodeId) -> Optional[dict]:
-        # The piggyback dict for a healthy link is the same every ping
-        # (it only carries the shared-id hash), so it is memoized next to
-        # the id list and dropped with it.
-        if not self.groups:
+        shared = self._shared.get(neighbor)
+        if shared is None:
             return None
-        entry = self._shared_cache.get(neighbor)
-        if entry is None:
-            self._shared_ids(neighbor)
-            entry = self._shared_cache[neighbor]
-        payload = entry[2]
-        if payload is None:
-            ids = entry[0]
-            if not ids:
-                return None
-            digest = entry[1]
-            if digest is None:
-                digest = entry[1] = self._hash_ids(ids)
-            payload = entry[2] = {"fuse": {"hash": digest}}
-        return payload
+        return shared.payload or shared.ping_payload()
 
     def _on_ping_evidence(self, neighbor: NodeId, payload: dict, _is_ack: bool) -> None:
         fuse_part = payload.get("fuse")
         theirs = _EMPTY_HASH if fuse_part is None else fuse_part.get("hash", _EMPTY_HASH)
-        if fuse_part is None and not self.groups:
-            # Empty on both sides — trivially in agreement.  The dominant
-            # steady-state case for nodes outside every group.
-            return
-        mine_ids = self._shared_ids(neighbor)
-        mine = self._shared_hash(neighbor, mine_ids) if mine_ids else _EMPTY_HASH
-        if mine == theirs:
-            # Agreement: this link is alive for every shared group.
-            for fuse_id in mine_ids:
-                state = self.groups[fuse_id]
-                self._ensure_link(state, neighbor)
-            return
+        shared = self._shared.get(neighbor)
+        if shared is None:
+            if theirs == _EMPTY_HASH:
+                return  # empty on both sides: trivially in agreement
+            mine_ids: Tuple[FuseId, ...] = ()
+        else:
+            mine_ids = shared.ids
+            if (shared.payload or shared.ping_payload())["fuse"]["hash"] == theirs:
+                # Agreement: this link is alive for every shared group.
+                groups = self.groups
+                for fuse_id in mine_ids:
+                    self._ensure_link(groups[fuse_id], neighbor)
+                return
         # Disagreement: reconcile by exchanging id lists (§6.3), at most
         # once per link per half ping period to bound chatter.
         last = self._last_list_sent.get(neighbor, -1e18)
@@ -435,9 +440,11 @@ class FuseService(FuseCore):
         peer = message.sender
         if peer is None:
             return
+        shared = self._shared.get(peer)
+        if shared is None:
+            return
         peer_groups: Dict[FuseId, int] = message.groups
-        mine_ids = self._shared_ids(peer)
-        for fuse_id in mine_ids:
+        for fuse_id in shared.ids:
             state = self.groups[fuse_id]
             if fuse_id in peer_groups:
                 state.seq = max(state.seq, peer_groups[fuse_id])
@@ -446,10 +453,7 @@ class FuseService(FuseCore):
                 # The neighbor disclaims this group on our shared link.
                 if self._in_grace(state):
                     continue  # install/ping race (§6.3): give it time
-                timer = state.links.pop(peer, None)
-                if timer is not None:
-                    timer.cancel()
-                    self._shared_cache.pop(peer, None)
+                self._drop_link(state, peer)
                 self._local_tree_failure(state, "reconcile-disagreement")
         # Groups the peer has but we do not: the peer's own reconciliation
         # (triggered by our hash) removes them on its side; replying with
@@ -459,24 +463,21 @@ class FuseService(FuseCore):
         state = self.groups.get(fuse_id)
         if state is None:
             return
-        timer = state.links.pop(neighbor, None)
-        if timer is not None:
-            timer.cancel()
-            self._shared_cache.pop(neighbor, None)
+        self._drop_link(state, neighbor)
         self.sim.metrics.counter("fuse.link_timeouts").increment()
         self._local_tree_failure(state, "link-timeout")
 
     def _on_neighbor_failure(self, neighbor: NodeId, reason: str) -> None:
         """Overlay declared a neighbor unresponsive: every group sharing a
-        checking link with it just lost that link."""
-        affected = [
-            state for state in list(self.groups.values()) if neighbor in state.links
-        ]
+        checking link with it just lost that link.  The groups are visited
+        in ``self.groups`` order, which fixes the SoftNotification order."""
+        shared = self._shared.get(neighbor)
+        if shared is None:
+            return
+        fuse_ids = set(shared.ids)
+        affected = [state for fuse_id, state in self.groups.items() if fuse_id in fuse_ids]
         for state in affected:
-            timer = state.links.pop(neighbor, None)
-            if timer is not None:
-                timer.cancel()
-                self._shared_cache.pop(neighbor, None)
+            self._drop_link(state, neighbor)
             self._local_tree_failure(state, f"overlay-{reason}")
 
     # ------------------------------------------------------------------
@@ -490,10 +491,9 @@ class FuseService(FuseCore):
             self.host.send(neighbor, SoftNotification(state.fuse_id, state.seq))
 
     def _clear_links(self, state: GroupState) -> None:
-        forget = self._shared_cache.pop
         for neighbor, timer in state.links.items():
             timer.cancel()
-            forget(neighbor, None)
+            self._unindex_link(neighbor, state.fuse_id)
         state.links.clear()
 
     def _local_tree_failure(self, state: GroupState, reason: str, exclude: Optional[NodeId] = None) -> None:

@@ -5,12 +5,19 @@ table, its liveness pinging of each distinct neighbor, greedy name-routing
 with client upcalls on every hop, and the piggyback/listener hooks the
 FUSE layer plugs into (§6.1 of the paper: per-hop upcalls, visible routing
 table, both-sides link monitoring, content piggybacked on pings).
+
+A payload provider or ping listener may be registered with a *watched*
+mapping (any container of neighbor ids the client keeps current).  The
+provider is then asked only for a watched neighbor, and the listener hears
+only a non-empty payload or one from a watched neighbor: a client with
+nothing on a link is not called for its pings at all.  The lane plane
+(``sim/lanes.py``) applies the same rule.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Callable, Container, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.net.address import NodeId
 from repro.net.message import Message
@@ -39,10 +46,15 @@ listener returning a truthy value *consumes* the message: forwarding and
 local delivery stop (how SV trees intercept subscriptions mid-route)."""
 
 PingListener = Callable[[NodeId, OverlayPayload, bool], None]
-"""(neighbor, piggyback_payload, is_ack) on every ping or ack received."""
+"""(neighbor, piggyback_payload, is_ack) on every ping or ack received
+(with a watched mapping: only a non-empty payload or a watched sender)."""
 
 PayloadProvider = Callable[[NodeId], Optional[OverlayPayload]]
-"""Returns the piggyback payload to attach to a ping toward ``neighbor``."""
+"""Returns the piggyback payload to attach to a ping toward ``neighbor``
+(with a watched mapping: asked only for a watched neighbor)."""
+
+Watched = Optional[Container[NodeId]]
+"""The neighbors a hook cares about; ``None`` watches every neighbor."""
 
 FailureListener = Callable[[NodeId, str], None]
 """(neighbor, reason) when this node stops trusting a neighbor; reason is
@@ -96,8 +108,9 @@ class OverlayNode:
         self._neighbor_cache: Optional[Tuple[Tuple[NodeId, ...], frozenset]] = None
 
         self._upcall_listeners: List[UpcallListener] = []
-        self._ping_listeners: List[PingListener] = []
-        self._payload_providers: List[PayloadProvider] = []
+        # (hook, watched) pairs.
+        self._ping_listeners: List[Tuple[PingListener, Watched]] = []
+        self._payload_providers: List[Tuple[PayloadProvider, Watched]] = []
         self._failure_listeners: List[FailureListener] = []
 
         host.on_crash(self._teardown)
@@ -116,16 +129,16 @@ class OverlayNode:
     def register_upcall(self, listener: UpcallListener) -> None:
         self._upcall_listeners.append(listener)
 
-    def register_ping_listener(self, listener: PingListener) -> None:
-        self._ping_listeners.append(listener)
+    def register_ping_listener(self, listener: PingListener, watched: Watched = None) -> None:
+        self._ping_listeners.append((listener, watched))
 
-    def register_payload_provider(self, provider: PayloadProvider) -> None:
+    def register_payload_provider(self, provider: PayloadProvider, watched: Watched = None) -> None:
         plane = self.overlay.lane_plane
         if plane is not None:
             # Lanes snapshot payload collection at absorb time, and any
             # lane may hold this node as a neighbor: flush them all.
             plane.flush()
-        self._payload_providers.append(provider)
+        self._payload_providers.append((provider, watched))
 
     def register_failure_listener(self, listener: FailureListener) -> None:
         self._failure_listeners.append(listener)
@@ -341,10 +354,15 @@ class OverlayNode:
             # Standard wiring (just the FUSE provider): no merge needed,
             # so the provider's dict rides as-is.  Payload dicts are
             # read-only downstream.
-            contribution = providers[0](neighbor)
+            provider, watched = providers[0]
+            if watched is not None and neighbor not in watched:
+                return _EMPTY_PAYLOAD
+            contribution = provider(neighbor)
             return contribution if contribution else _EMPTY_PAYLOAD
         payload: Optional[OverlayPayload] = None
-        for provider in providers:
+        for provider, watched in providers:
+            if watched is not None and neighbor not in watched:
+                continue
             contribution = provider(neighbor)
             if contribution:
                 if payload is None:
@@ -359,8 +377,10 @@ class OverlayNode:
             return
         ack_payload = self._collect_payload(sender)
         self.host.send(sender, OverlayPingAck(ping.nonce, ack_payload))
-        for listener in self._ping_listeners:
-            listener(sender, ping.payload, False)
+        payload = ping.payload
+        for listener, watched in self._ping_listeners:
+            if payload or watched is None or sender in watched:
+                listener(sender, payload, False)
 
     def _on_ping_ack(self, message: Message) -> None:
         ack = message
@@ -371,8 +391,10 @@ class OverlayNode:
         if pending is not None and pending[0] == ack.nonce:
             pending[1].cancel()
             del self._outstanding_pings[sender]
-        for listener in self._ping_listeners:
-            listener(sender, ack.payload, True)
+        payload = ack.payload
+        for listener, watched in self._ping_listeners:
+            if payload or watched is None or sender in watched:
+                listener(sender, payload, True)
 
     def _on_ping_timeout(self, node_id: NodeId, nonce: int) -> None:
         pending = self._outstanding_pings.get(node_id)

@@ -35,6 +35,11 @@ golden dispatch trace and the figure/scenario fixtures:
   mirrored one-for-one.
 * Payload collection and ping/ack listener delivery call the *real*
   FUSE evidence hooks, so notification-relevant behavior is untouched.
+  They apply the overlay's watched-neighbor rule
+  (:meth:`~repro.overlay.skipnet.node.OverlayNode.register_payload_provider`):
+  a provider is asked only for a watched neighbor, and a listener hears
+  only a non-empty payload or a watched sender, so a ping on a link that
+  carries no FUSE group calls no FUSE code on either path.
 
 A node stays laned through packet loss and through faults that do not
 concern it.  A lost ping or ack attempt is retransmitted *in the lane*: the
@@ -127,7 +132,7 @@ class _Flight:
 
     ``rec`` is the owning entry's per-neighbor snapshot tuple:
     ``(nbr_id, nbr_node, nbr_host, pair, route_out, route_back,
-    lat_out, loss_out, lat_back, loss_back, nbr_collect,
+    lat_out, loss_out, lat_back, loss_back, nbr_collect, nbr_watched,
     nbr_ping_listeners)``.
     """
 
@@ -160,7 +165,7 @@ class _LaneEntry:
 
     __slots__ = (
         "node", "host", "src", "inc", "recs", "outstanding",
-        "collect", "listeners",
+        "collect", "watched", "listeners",
         "sweep_when", "sweep_seq", "sweep_label", "timeout_label", "live",
     )
 
@@ -171,16 +176,14 @@ class _LaneEntry:
         self.inc = node.host.incarnation
         self.recs = recs
         # Payload collection, snapped at absorb time: the single FUSE
-        # provider directly when that is the whole chain (the standard
-        # wiring), the generic merge otherwise.  Lane callers normalize
-        # falsy contributions to the shared empty payload, exactly like
-        # OverlayNode._collect_payload.  register_payload_provider
-        # flushes every lane, so the snapshot cannot go stale.
-        providers = node._payload_providers
-        self.collect = (
-            providers[0] if len(providers) == 1 else node._collect_payload
-        )
-        # The live listener list object (appends stay visible).
+        # provider and its watched mapping directly when that is the
+        # whole chain (the standard wiring), the generic merge otherwise.
+        # Lane callers normalize falsy contributions to the shared empty
+        # payload, exactly like OverlayNode._collect_payload.
+        # register_payload_provider flushes every lane, so the snapshot
+        # cannot go stale.
+        self.collect, self.watched = _collector(node)
+        # The live (listener, watched) list object (appends stay visible).
         self.listeners = node._ping_listeners
         self.outstanding = {}
         self.sweep_when = 0.0
@@ -188,6 +191,16 @@ class _LaneEntry:
         self.sweep_label = sweep_label
         self.timeout_label = timeout_label
         self.live = True
+
+
+def _collector(node):
+    """``(collect, watched)`` for a node's payload providers: the single
+    provider and its watched mapping, or the generic merge (which applies
+    every provider's mapping itself) with ``None``."""
+    providers = node._payload_providers
+    if len(providers) == 1:
+        return providers[0]
+    return node._collect_payload, None
 
 
 def _guarded_sweep(host, inc, sweep):
@@ -371,17 +384,11 @@ class LanePlane:
                 # from being re-absorbed while the burst is live.
                 return False
             pair = (src, nbr) if src <= nbr else (nbr, src)
-            nbr_providers = nbr_node._payload_providers
-            nbr_collect = (
-                nbr_providers[0]
-                if len(nbr_providers) == 1
-                else nbr_node._collect_payload
-            )
             recs.append((
                 nbr, nbr_node, nbr_host, pair, route_out, route_back,
                 route_out.current_latency(), route_out.current_loss(),
                 route_back.current_latency(), route_back.current_loss(),
-                nbr_collect, nbr_node._ping_listeners,
+                *_collector(nbr_node), nbr_node._ping_listeners,
             ))
         if node.host._handlers.get("OverlayPingAck") != node._on_ping_ack:
             return False
@@ -744,7 +751,10 @@ class LanePlane:
                 ctr_deliv.value += 1
                 entry = f.entry
                 src = entry.src
-                ack_payload = rec[10](src)
+                watched = rec[11]
+                ack_payload = (
+                    rec[10](src) if watched is None or src in watched else None
+                )
                 if not ack_payload:
                     ack_payload = _EMPTY_PAYLOAD
                 # host.send(sender, OverlayPingAck(...)) mirror (no
@@ -770,8 +780,10 @@ class LanePlane:
                 f.seq = seq2
                 hpush(q, (inject, seq2, _ACK_ATTEMPT, f))
                 # Listeners run after the ack send, exactly like _on_ping.
-                for listener in rec[11]:
-                    listener(src, f.payload, False)
+                payload = f.payload
+                for listener, watched in rec[12]:
+                    if payload or watched is None or src in watched:
+                        listener(src, payload, False)
                 if honor_stop and sim._stop_requested:
                     break
             elif kind == _ACK_ATTEMPT:
@@ -815,10 +827,13 @@ class LanePlane:
                 # The virtual outstanding record matches by construction
                 # (one flight per neighbor, same nonce); cancelling the
                 # virtual timeout is dropping the flight.
-                del entry.outstanding[rec[0]]
+                nbr = rec[0]
+                del entry.outstanding[nbr]
                 f.live = False
-                for listener in entry.listeners:
-                    listener(rec[0], f.ack_payload, True)
+                payload = f.ack_payload
+                for listener, watched in entry.listeners:
+                    if payload or watched is None or nbr in watched:
+                        listener(nbr, payload, True)
                 if honor_stop and sim._stop_requested:
                     break
             else:
@@ -848,6 +863,7 @@ class LanePlane:
         ctr_bytes = self._ctr_bytes
         connections = self._connections
         collect = entry.collect
+        watched = entry.watched
         nonce_next = node._ping_nonce.__next__
         recs = entry.recs
 
@@ -864,7 +880,8 @@ class LanePlane:
         for rec in send_recs:
             inject = inject + oh
             nonce = nonce_next()
-            payload = collect(rec[0])
+            nbr = rec[0]
+            payload = collect(nbr) if watched is None or nbr in watched else None
             if not payload:
                 payload = _EMPTY_PAYLOAD
             timeout_seq = nxt()
@@ -877,7 +894,7 @@ class LanePlane:
                 entry, rec, nonce, payload, rec[3] not in connections,
                 inject, attempt_seq, timeout_when, timeout_seq,
             )
-            outstanding[rec[0]] = f
+            outstanding[nbr] = f
             hpush(q, (inject, attempt_seq, _ATTEMPT, f))
             tq.append(f)
         if send_recs:

@@ -23,6 +23,7 @@ Tests, examples, and the experiment harness all start from here::
 
 from __future__ import annotations
 
+import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fuse.api import FuseGroup, GroupLedger, GroupStatus
@@ -41,6 +42,10 @@ from repro.sim.kernel import Simulator
 from repro.sim.lanes import LanePlane, resolve_lanes_mode
 
 MINUTE_MS = 60_000.0
+
+
+class BootstrapShortWarning(RuntimeWarning):
+    """:meth:`World.bootstrap` ended with nodes outside the overlay."""
 
 
 class World:
@@ -122,7 +127,10 @@ class World:
         (hop-count drop), parking its joiner on the 30 s join-retry timer
         past the settle window, so the world runs on in 1 s steps until
         every node has joined, for at most 60 s: one retry cycle plus
-        slack.  A world that joined in full runs no further.
+        slack.  A world that joined in full runs no further; one still
+        short after the wait raises :class:`BootstrapShortWarning` naming
+        the unjoined node ids and adds their number to the
+        ``overlay.bootstrap_unjoined`` counter (created only then).
         """
         spacing = self.join_interval_ms()
         start = self.sim.now
@@ -150,6 +158,20 @@ class World:
         deadline = self.sim.now + 60_000.0
         while self.overlay.member_count < len(self.node_ids) and self.sim.now < deadline:
             self.sim.run_for(1_000.0)
+        if self.overlay.member_count < len(self.node_ids):
+            unjoined = [
+                node_id
+                for node_id in self.node_ids
+                if not self.overlay.is_member(self.overlay_nodes[node_id].name)
+            ]
+            self.sim.metrics.counter("overlay.bootstrap_unjoined").increment(len(unjoined))
+            warnings.warn(
+                BootstrapShortWarning(
+                    f"bootstrap joined {len(self.node_ids) - len(unjoined)} of "
+                    f"{len(self.node_ids)} nodes; unjoined node ids: {unjoined}"
+                ),
+                stacklevel=2,
+            )
 
     def run_for(self, duration_ms: float) -> None:
         self.sim.run_for(duration_ms)

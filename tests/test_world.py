@@ -8,6 +8,7 @@ tests in ``tests/test_live_world.py``.
 """
 
 import contextlib
+import warnings
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro import FuseWorld
 from repro.net import MercatorConfig
 from repro.net.backends.liveworld import LiveWorld
 from repro.net.transport import TransportConfig
+from repro.world import BootstrapShortWarning
 
 LIVE_SCALE = 0.002
 
@@ -120,6 +122,30 @@ class TestFuseWorld(_WorldSurface):
         start = world.now
         world.run_for_minutes(2)
         assert world.now == start + 120_000.0
+
+
+class TestShortBootstrap:
+    """A world still short after the straggler wait says so: a typed
+    warning naming the unjoined ids, and the lazily created
+    ``overlay.bootstrap_unjoined`` counter."""
+
+    @staticmethod
+    def _world():
+        return FuseWorld(n_nodes=12, seed=11, mercator=MercatorConfig(n_hosts=12, n_as=4))
+
+    def test_node_crashed_before_bootstrap(self):
+        world = self._world()
+        world.crash(5)
+        with pytest.warns(BootstrapShortWarning, match=r"11 of 12 nodes; unjoined node ids: \[5\]"):
+            world.bootstrap()
+        assert world.sim.metrics.counter("overlay.bootstrap_unjoined").value == 1
+
+    def test_full_bootstrap_is_silent(self):
+        world = self._world()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BootstrapShortWarning)
+            world.bootstrap()
+        assert "overlay.bootstrap_unjoined" not in world.sim.metrics.counters()
 
 
 class TestLiveWorld(_WorldSurface):
