@@ -12,12 +12,17 @@ Protocol summary (paper §6):
 
 * **Steady state** (§6.3): each overlay ping/ack carries a hash of the
   FUSE IDs the sender believes it monitors jointly with that neighbor.  A
-  matching hash resets all the (group, neighbor) timers; a mismatch makes
-  both sides exchange their id lists and drop — after a grace period —
-  the checking trees they disagree on.  The shared ids per neighbor are
-  an index kept at every site that adds or drops a checking link; the
-  overlay watches its keys, so a ping on a link with no shared group on
-  either side calls no FUSE code.
+  matching hash vouches for every shared group, so a group's deadline is
+  the later of the link's last agreement and its own last refresh
+  (install, link list), plus the liveness timeout; one timer per link
+  fires at the earliest deadline and re-arms for the rest (the lazy
+  deadline of timing wheels: an agreeing ping writes one time and
+  schedules nothing).  A mismatch makes both sides exchange their id
+  lists and drop — after a grace period — the checking trees they
+  disagree on.  The shared ids per neighbor are an index kept at every
+  site that adds or drops a checking link; the overlay watches its keys,
+  so a ping on a link with no shared group on either side calls no FUSE
+  code.
 
 * **Notifications** (§6.4): liveness-tree breaks raise SoftNotifications,
   which spread through the tree, tear down delegate state, and trigger
@@ -38,7 +43,7 @@ from __future__ import annotations
 import copy
 import hashlib
 from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.fuse.api import GroupLedger
 from repro.fuse.config import FuseConfig
@@ -59,23 +64,28 @@ from repro.net.address import NodeId
 from repro.net.message import Message
 from repro.overlay.skipnet.messages import RouteEnvelope
 from repro.overlay.skipnet.node import OverlayNode
+from repro.sim.events import TimerHandle
 
 _EMPTY_HASH = hashlib.sha1(b"").hexdigest()
 
 
 class _SharedLink:
     """The groups whose checking tree uses one neighbor link: their fuse
-    ids as a sorted tuple, and the ping payload (its sha1), built on first
-    use.  A link change replaces ``ids`` (never mutates it), so a caller
-    may iterate it while links come and go.  A tuple, not a set: most
-    links carry one group, and a set per entry cost 1.3 MB on
-    ``fault_storm_400``."""
+    ids as a sorted tuple, the ping payload (its sha1), built on first
+    use, the time of the link's last agreeing ping or ack, and the link's
+    one liveness timer with its callback.  A link change replaces ``ids``
+    (never mutates it), so a caller may iterate it while links come and
+    go.  A tuple, not a set: most links carry one group, and a set per
+    entry cost 1.3 MB on ``fault_storm_400``."""
 
-    __slots__ = ("ids", "payload")
+    __slots__ = ("ids", "payload", "agreed", "expire", "timer")
 
-    def __init__(self, ids: Tuple[FuseId, ...]) -> None:
+    def __init__(self, ids: Tuple[FuseId, ...], expire: Callable[[], None]) -> None:
         self.ids = ids
         self.payload: Optional[dict] = None
+        self.agreed = float("-inf")
+        self.expire = expire
+        self.timer: Optional[TimerHandle] = None
 
     def ping_payload(self) -> dict:
         if self.payload is None:
@@ -92,6 +102,7 @@ class FuseService(FuseCore):
         "overlay",
         "_last_list_sent",
         "_liveness_timeout",
+        "_link_label",
         "_stable_store",
         "_shared",
     )
@@ -111,6 +122,7 @@ class FuseService(FuseCore):
         # A (group, link) is declared failed after the overlay's ping
         # period + ping timeout of silence (the paper's 20-80 s window).
         self._liveness_timeout = overlay_node.config.liveness_silence_ms
+        self._link_label = f"{self.name}:fuse-link"
 
         # §3.6 stable storage: survives crashes (it models a disk file).
         # Maps fuse_id -> minimal recovery record.
@@ -137,6 +149,8 @@ class FuseService(FuseCore):
         state and harden into notifications."""
         self.groups.clear()
         self._last_list_sent.clear()
+        for shared in self._shared.values():
+            shared.timer.cancel()
         self._shared.clear()
 
     def _on_host_recover(self) -> None:
@@ -358,29 +372,22 @@ class FuseService(FuseCore):
     # Liveness links and piggybacked hashes
     # ------------------------------------------------------------------
     def _ensure_link(self, state: GroupState, neighbor: NodeId) -> None:
-        # Resetting a live timer in place reuses its callback closure and
-        # handle; this runs once per shared group per ping/ack, so it is
-        # the hottest timer path in steady state.  Safe because group
-        # state never survives a crash, so the closure's incarnation
-        # guard always matches the current incarnation.
-        existing = state.links.get(neighbor)
-        if existing is not None and existing.reschedule_after(self._liveness_timeout):
-            return
-        state.links[neighbor] = self._make_link_timer(state.fuse_id, neighbor)
-        if existing is None:
+        """The group itself refreshed the link (install upcall, link-list
+        confirm): its deadline there is now at least a timeout away, which
+        the link timer, armed no later than any deadline, already covers."""
+        links = state.links
+        if neighbor not in links:
             self._index_link(neighbor, state.fuse_id)
-
-    def _make_link_timer(self, fuse_id: FuseId, neighbor: NodeId):
-        return self.host.call_after(
-            self._liveness_timeout,
-            lambda: self._on_link_timeout(fuse_id, neighbor),
-            label=f"{self.name}:fuse-link",
-        )
+        links[neighbor] = self.sim.now
 
     def _index_link(self, neighbor: NodeId, fuse_id: FuseId) -> None:
         shared = self._shared.get(neighbor)
         if shared is None:
-            self._shared[neighbor] = _SharedLink((fuse_id,))
+            # The callback holds the neighbor, not the entry that holds
+            # its timer: the pair would be a reference cycle.
+            shared = _SharedLink((fuse_id,), lambda: self._on_link_expiry(neighbor))
+            self._shared[neighbor] = shared
+            self._arm_link(shared, self.sim.now + self._liveness_timeout)
             return
         ids = shared.ids
         at = bisect_left(ids, fuse_id)
@@ -392,15 +399,17 @@ class FuseService(FuseCore):
         ids = shared.ids
         if ids == (fuse_id,):
             del self._shared[neighbor]
+            shared.timer.cancel()
             return
         at = ids.index(fuse_id)
         shared.ids = ids[:at] + ids[at + 1 :]
         shared.payload = None
 
+    def _arm_link(self, shared: _SharedLink, when: float) -> None:
+        shared.timer = self.sim.call_at(when, shared.expire, self._link_label)
+
     def _drop_link(self, state: GroupState, neighbor: NodeId) -> None:
-        timer = state.links.pop(neighbor, None)
-        if timer is not None:
-            timer.cancel()
+        if state.links.pop(neighbor, None) is not None:
             self._unindex_link(neighbor, state.fuse_id)
 
     def _payload_for(self, neighbor: NodeId) -> Optional[dict]:
@@ -421,9 +430,7 @@ class FuseService(FuseCore):
             mine_ids = shared.ids
             if (shared.payload or shared.ping_payload())["fuse"]["hash"] == theirs:
                 # Agreement: this link is alive for every shared group.
-                groups = self.groups
-                for fuse_id in mine_ids:
-                    self._ensure_link(groups[fuse_id], neighbor)
+                shared.agreed = self.sim.now
                 return
         # Disagreement: reconcile by exchanging id lists (§6.3), at most
         # once per link per half ping period to bound chatter.
@@ -459,13 +466,25 @@ class FuseService(FuseCore):
         # (triggered by our hash) removes them on its side; replying with
         # our list here would only double the chatter.
 
-    def _on_link_timeout(self, fuse_id: FuseId, neighbor: NodeId) -> None:
-        state = self.groups.get(fuse_id)
-        if state is None:
-            return
-        self._drop_link(state, neighbor)
-        self.sim.metrics.counter("fuse.link_timeouts").increment()
-        self._local_tree_failure(state, "link-timeout")
+    def _on_link_expiry(self, neighbor: NodeId) -> None:
+        """The link timer reached the earliest deadline on the link: fail,
+        in fuse-id order, each group silent there for the liveness timeout
+        (``max(agreed, own refresh) + timeout``), then re-arm at the next
+        deadline if the link still carries a group."""
+        shared = self._shared[neighbor]
+        now = self.sim.now
+        timeout = self._liveness_timeout
+        groups = self.groups
+        for fuse_id in shared.ids:
+            state = groups.get(fuse_id)
+            refresh = None if state is None else state.links.get(neighbor)
+            if refresh is not None and max(shared.agreed, refresh) + timeout <= now:
+                self._drop_link(state, neighbor)
+                self.sim.metrics.counter("fuse.link_timeouts").increment()
+                self._local_tree_failure(state, "link-timeout")
+        if self._shared.get(neighbor) is shared:
+            oldest = min(groups[fuse_id].links[neighbor] for fuse_id in shared.ids)
+            self._arm_link(shared, max(shared.agreed, oldest) + timeout)
 
     def _on_neighbor_failure(self, neighbor: NodeId, reason: str) -> None:
         """Overlay declared a neighbor unresponsive: every group sharing a
@@ -491,8 +510,7 @@ class FuseService(FuseCore):
             self.host.send(neighbor, SoftNotification(state.fuse_id, state.seq))
 
     def _clear_links(self, state: GroupState) -> None:
-        for neighbor, timer in state.links.items():
-            timer.cancel()
+        for neighbor in state.links:
             self._unindex_link(neighbor, state.fuse_id)
         state.links.clear()
 

@@ -61,8 +61,10 @@ class GroupState:
         self.is_member = is_member
         self.created_at = created_at
 
-        # Liveness-checking links: neighbor host -> silence timer.
-        self.links: Dict[NodeId, TimerHandle] = {}
+        # Liveness-checking links: neighbor host -> the time this group
+        # last refreshed the link itself (install, link list).  The link's
+        # agreeing pings and its one timer live in the service's index.
+        self.links: Dict[NodeId, float] = {}
 
         # Application callback (members and root).
         self.handler: Optional[FailureHandler] = None
@@ -86,8 +88,6 @@ class GroupState:
         return not self.is_root and not self.is_member
 
     def cancel_all_timers(self) -> None:
-        for timer in self.links.values():
-            timer.cancel()
         self.links.clear()
         for timer in (
             self.install_timer,

@@ -61,7 +61,7 @@ class TestGroupState:
         sim = Simulator()
         state = self.make_state()
         fired = []
-        state.links[1] = sim.call_at(10.0, lambda: fired.append("link"))
+        state.links[1] = 10.0  # the group's own last refresh of the link
         state.install_timer = sim.call_at(20.0, lambda: fired.append("install"))
         state.bootstrap_timer = sim.call_at(30.0, lambda: fired.append("boot"))
         state.need_repair_timer = sim.call_at(40.0, lambda: fired.append("nr"))

@@ -10,7 +10,12 @@ both halves on the scalar path and on the lane plane:
   explicit signal — the index equals a scan of ``groups``: each entry's
   sorted id tuple and its lazily built ping payload;
 * a ping or ack on a link that carries no group, with an empty payload,
-  calls neither FUSE hook.
+  calls neither FUSE hook;
+* liveness is kept per link: each entry holds one armed timer, due no
+  later than any of its groups' deadlines (the later of the link's last
+  agreement and the group's own refresh, plus the liveness timeout), an
+  agreeing ping or ack schedules nothing, and each link timeout fires
+  exactly at its group's deadline.
 """
 
 import hashlib
@@ -18,6 +23,7 @@ import hashlib
 import pytest
 
 from repro import FuseConfig, FuseWorld
+from repro.fuse.service import FuseService
 from repro.fuse.state import GroupState
 from repro.net import MercatorConfig
 
@@ -50,12 +56,22 @@ def _payload(ids):
 
 def _assert_index_is_scan(world):
     indexed = 0
+    expiries = []
     for node_id, service in world.fuse_services.items():
         index = {nbr: shared.ids for nbr, shared in service._shared.items()}
         assert index == _scan(service), f"node {node_id}"
-        for shared in service._shared.values():
+        timeout = service._liveness_timeout
+        for nbr, shared in service._shared.items():
             assert shared.ping_payload() == _payload(shared.ids)
+            assert shared.timer.active, f"node {node_id} link {nbr}"
+            for fuse_id in shared.ids:
+                refresh = service.groups[fuse_id].links[nbr]
+                assert shared.timer.when <= max(shared.agreed, refresh) + timeout
+            expiries.append(shared.expire)
         indexed += len(index)
+    # Every pending link timer is the one timer of an indexed link.
+    pending = [e[2] for e in world.sim.queue.snapshot() if e[3].endswith(":fuse-link")]
+    assert sorted(map(id, pending)) == sorted(map(id, expiries))
     return indexed
 
 
@@ -206,3 +222,91 @@ class TestSilentLinksCallNoHook:
         # Every node pings about a handful of neighbors, and only the
         # checking tree's links reach FUSE.
         assert len(window) < _pings(world) - pings
+
+
+def _agreeing(service, neighbor, payload):
+    shared = service._shared.get(neighbor)
+    return shared is not None and payload.get("fuse") == shared.ping_payload()["fuse"]
+
+
+class TestOneDeadlinePerLink:
+    @pytest.mark.parametrize("lanes", LANES)
+    def test_agreement_schedules_nothing(self, lanes):
+        """An agreeing ping and an agreeing ack each leave the main heap
+        as they found it: the link's deadline moves by a field write."""
+        world = _world(lanes)
+        world.bootstrap()
+        for root, members in GROUPS:
+            assert world.create_group_sync(root, members)[1] == "ok"
+        heap = world.sim.queue._heap
+        seen = {False: 0, True: 0}
+        for node_id, node in world.overlay_nodes.items():
+            (listener, watched), = node._ping_listeners
+            service = world.fuse(node_id)
+
+            def spy(neighbor, payload, is_ack, _l=listener, _s=service):
+                if not _agreeing(_s, neighbor, payload):
+                    return _l(neighbor, payload, is_ack)
+                before = list(heap)
+                _l(neighbor, payload, is_ack)
+                assert heap == before
+                seen[is_ack] += 1
+
+            node._ping_listeners[0] = (spy, watched)
+        world.run_for_minutes(2)
+        assert seen[False] > 0 and seen[True] > 0
+
+    @pytest.mark.parametrize("lanes", LANES)
+    def test_timeouts_fire_at_the_deadline(self, lanes, monkeypatch):
+        """With one pair blocked, every link timeout fires exactly when its
+        group last heard of the link (an agreeing ping or ack on it, or its
+        own refresh) plus the liveness timeout."""
+        heard = {}
+        dropped = {}
+        timeouts = []
+        ensure, evidence = FuseService._ensure_link, FuseService._on_ping_evidence
+        drop, fail = FuseService._drop_link, FuseService._local_tree_failure
+
+        def spy_ensure(self, state, neighbor):
+            heard[self, state.fuse_id, neighbor] = self.sim.now
+            ensure(self, state, neighbor)
+
+        def spy_evidence(self, neighbor, payload, is_ack):
+            if _agreeing(self, neighbor, payload):
+                for fuse_id in self._shared[neighbor].ids:
+                    heard[self, fuse_id, neighbor] = self.sim.now
+            evidence(self, neighbor, payload, is_ack)
+
+        def spy_drop(self, state, neighbor):
+            dropped[self] = (state.fuse_id, neighbor)
+            drop(self, state, neighbor)
+
+        def spy_fail(self, state, reason, exclude=None):
+            if reason == "link-timeout":
+                fuse_id, neighbor = dropped[self]
+                assert fuse_id == state.fuse_id
+                timeouts.append((self.sim.now, heard[self, fuse_id, neighbor] + self._liveness_timeout))
+            fail(self, state, reason, exclude)
+
+        monkeypatch.setattr(FuseService, "_ensure_link", spy_ensure)
+        monkeypatch.setattr(FuseService, "_on_ping_evidence", spy_evidence)
+        monkeypatch.setattr(FuseService, "_drop_link", spy_drop)
+        monkeypatch.setattr(FuseService, "_local_tree_failure", spy_fail)
+        world = _world(lanes)
+        world.bootstrap()
+        for root, members in GROUPS:
+            assert world.create_group_sync(root, members)[1] == "ok"
+        world.run_for(30_000)
+        ends = [{root, *members} for root, members in GROUPS]
+        a, b = min(
+            (a, b)
+            for a, service in world.fuse_services.items()
+            for b in service._shared
+            if a < b and not any(a in e and b in e for e in ends)
+        )
+        world.net.faults.block_pair(a, b)
+        world.run_for_minutes(3)
+        counted = world.sim.metrics.counter("fuse.link_timeouts").value
+        assert counted == len(timeouts) > 0
+        assert all(now == deadline for now, deadline in timeouts), timeouts
+        _assert_index_is_scan(world)
