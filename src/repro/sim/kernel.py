@@ -22,12 +22,15 @@ Two scheduling surfaces exist:
   allocates nothing beyond the heap tuple.  The network transmit/delivery
   path lives here.
 
-``run()`` is the hot loop: it pops and dispatches straight off the heap
-(shedding cancelled entries inline) instead of doing a peek pass plus a
-pop pass per event; ``step()`` remains as the single-event compatibility
-wrapper used by synchronous drivers.  The live backend's kernel,
-:class:`repro.net.backends.asynckernel.AsyncioKernel`, is a subclass that
-runs this same loop, paced by a wall clock.
+``run()`` and ``run_until()`` share one hot loop: it pops and dispatches
+straight off the heap (shedding cancelled entries inline) instead of doing
+a peek pass plus a pop pass per event.  While any node is laned, the lane
+plane's :meth:`~repro.sim.lanes.LanePlane.advance` is that loop: it
+dispatches the heap's events between its micro-events and hands back only
+once no node is laned.  ``step()`` dispatches one event, with the collector
+left alone, for callers and tests that single-step.  The live backend's
+kernel, :class:`repro.net.backends.asynckernel.AsyncioKernel`, is a
+subclass that runs this same loop, paced by a wall clock.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from repro.sim.events import EventQueue, TimerHandle
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceLog
+
+_INF = float("inf")
 
 
 class Simulator:
@@ -64,9 +69,9 @@ class Simulator:
         self.rng = RngStreams(seed)
         self.metrics = MetricsRegistry(self.clock)
         self.trace: Optional[TraceLog] = TraceLog(self.clock) if trace else None
-        #: optional liveness-lane plane (repro.sim.lanes.LanePlane); when
-        #: set, run()/step() interleave its micro-events with the heap in
-        #: global (when, seq) order.  None keeps the classic loop.
+        #: optional liveness-lane plane (repro.sim.lanes.LanePlane); while
+        #: it has laned nodes, its advance() is the dispatch loop, merging
+        #: its micro-events with the heap in global (when, seq) order.
         self.lane_plane = None
         self._dispatched = 0
         self._running = False
@@ -129,25 +134,9 @@ class Simulator:
     def step(self) -> bool:
         """Dispatch a single event.  Returns False when the queue is empty."""
         plane = self.lane_plane
-        if plane is not None:
-            heap = self.queue._heap
-            pending = self.queue._pending
-            while True:
-                while heap and heap[0][1] not in pending:
-                    heappop(heap)
-                lane_key = plane.next_key()
-                if lane_key is None:
-                    break
-                if heap:
-                    head = heap[0]
-                    if (head[0], head[1]) < lane_key:
-                        break
-                n = plane.advance(None, 1, honor_stop=False)
-                if n:
-                    self._dispatched += n
-                    return True
-                # advance() made progress without dispatching (an eject
-                # or flush moved events onto the heap); look again.
+        if plane is not None and plane._entries and plane.advance(None, 1):
+            self._dispatched += 1
+            return True
         entry = self.queue.pop()
         if entry is None:
             return False
@@ -166,6 +155,12 @@ class Simulator:
         even if the queue drained earlier, so wall-clock-style measurements
         (e.g. messages per second over a 10-minute window) are well-defined.
         """
+        return self._run(until, max_events, None)
+
+    def _run(self, until: Optional[float], max_events: Optional[int], predicate) -> int:
+        """The dispatch loop of :meth:`run` and :meth:`run_until`; with a
+        ``predicate`` (and no ``max_events``) it returns as soon as
+        ``predicate()`` holds, checked first and after each event."""
         if self._running:
             raise RuntimeError("simulator is already running (reentrant run() call)")
         self._running = True
@@ -173,7 +168,7 @@ class Simulator:
         dispatched = 0
         # Dispatch allocates no reference cycles (the gate is
         # tests/test_acyclic_dispatch.py), so collections here would only
-        # re-walk the built world: they wait until run() returns.
+        # re-walk the built world: they wait until the loop returns.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         # The dispatch loop works the heap directly: one pop per event,
@@ -187,62 +182,48 @@ class Simulator:
         trace = self.trace
         pop = heappop
         plane = self.lane_plane
+        # While any node is laned, plane.advance is the dispatch loop (its
+        # micro-events and this heap in (when, seq) order) until none is.
+        laned = {} if plane is None else plane._entries
+        # The dispatch count at which to stop or, with a predicate, to
+        # check it next.
+        limit = 0 if predicate is not None else (_INF if max_events is None else max_events)
         try:
-            if plane is None:
-                while heap and not self._stop_requested:
-                    if dispatched == max_events:
+            while True:
+                if dispatched >= limit:
+                    if predicate is None or predicate():
                         break
-                    entry = heap[0]
-                    seq = entry[1]
-                    if seq not in pending:
-                        pop(heap)  # cancelled: shed lazily, no dispatch
-                        continue
-                    when = entry[0]
-                    if until is not None and when > until:
-                        break
-                    pop(heap)
-                    pending.remove(seq)
-                    # Heap order plus the no-past-scheduling guard make
-                    # this monotonic, so Clock.advance_to is skipped.
-                    clock._now = when
-                    if trace is not None:
-                        trace.record("dispatch", entry[3])
-                    entry[2]()
-                    dispatched += 1
-            else:
-                # Lane-aware loop: the plane's micro-events and the real
-                # heap merge in global (when, seq) order.  Runs of lane
-                # events are dispatched in plane.advance's tight loop;
-                # real events are dispatched inline exactly as above.
-                while not self._stop_requested:
-                    if dispatched == max_events:
-                        break
-                    while heap and heap[0][1] not in pending:
-                        pop(heap)  # cancelled: shed lazily, no dispatch
-                    lane_key = plane.next_key()
-                    if heap:
-                        entry = heap[0]
-                        if lane_key is None or (entry[0], entry[1]) < lane_key:
-                            when = entry[0]
-                            if until is not None and when > until:
-                                break
-                            pop(heap)
-                            pending.remove(entry[1])
-                            clock._now = when
-                            if trace is not None:
-                                trace.record("dispatch", entry[3])
-                            entry[2]()
-                            dispatched += 1
-                            continue
-                    if lane_key is None:
-                        break
-                    if until is not None and lane_key[0] > until:
-                        break
+                    limit = dispatched + 1
+                if self._stop_requested:
+                    break
+                if laned:
                     budget = None if max_events is None else max_events - dispatched
-                    dispatched += plane.advance(until, budget)
-                    # A zero return still made progress (an ejection or
-                    # flush moved lane events onto the heap), so looping
-                    # terminates.
+                    dispatched += plane.advance(until, budget, predicate)
+                    if laned:
+                        break  # until, max_events, the predicate or stop()
+                    # Nobody is laned any more: this loop takes over, and
+                    # its top checks the predicate after advance's last
+                    # event, which advance leaves to it.
+                    continue
+                if not heap:
+                    break
+                entry = heap[0]
+                seq = entry[1]
+                if seq not in pending:
+                    pop(heap)  # cancelled: shed lazily, no dispatch
+                    continue
+                when = entry[0]
+                if until is not None and when > until:
+                    break
+                pop(heap)
+                pending.remove(seq)
+                # Heap order plus the no-past-scheduling guard make this
+                # monotonic, so Clock.advance_to is skipped.
+                clock._now = when
+                if trace is not None:
+                    trace.record("dispatch", entry[3])
+                entry[2]()
+                dispatched += 1
             if until is not None and until > clock._now and not self._stop_requested:
                 clock._now = until
         finally:
@@ -257,16 +238,28 @@ class Simulator:
         return self.run(until=self.clock.now + duration, max_events=max_events)
 
     def run_until(self, predicate: Callable[[], bool], timeout_ms: float) -> bool:
-        """Dispatch events one at a time until ``predicate()`` holds, the
-        queue drains, or ``timeout_ms`` of virtual time has passed.
-        Returns whether the predicate held.  The live subclass,
+        """Dispatch events until ``predicate()`` holds, the queue drains,
+        or ``timeout_ms`` of virtual time has passed.  Returns whether the
+        predicate held.
+
+        The predicate is checked first and then after each event; the
+        timeout is checked after it, so the event that carries the clock
+        past the deadline is still dispatched and checked.  The events run
+        in :meth:`run`'s loop: the collector is off, :meth:`stop` ends the
+        wait, and the call is not reentrant.  The live subclass,
         :class:`repro.net.backends.asynckernel.AsyncioKernel`, keeps this
         contract but waits on its event loop instead."""
-        deadline = self.clock.now + timeout_ms
-        while not predicate():
-            if self.clock.now >= deadline or not self.step():
-                return False
-        return True
+        clock = self.clock
+        deadline = clock.now + timeout_ms
+        held = False
+
+        def done() -> bool:
+            nonlocal held
+            held = bool(predicate())
+            return held or clock.now >= deadline
+
+        self._run(None, None, done)
+        return held
 
     def stop(self) -> None:
         """Request that the current :meth:`run` return after this event."""

@@ -13,8 +13,10 @@ regular traffic.  An :class:`~repro.overlay.skipnet.node.OverlayNode`
 whose sweep finds nothing unusual in flight is *absorbed* into the plane:
 its periodic sweep and every leg of its ping round trips become
 "micro-events" in a small internal heap (plus a monotone deadline queue
-for pending-ack timeouts), dispatched by :meth:`LanePlane.advance` in a
-tight loop between "interesting" (non-ping) events on the main heap.
+for pending-ack timeouts).  While any node is laned,
+:meth:`LanePlane.advance` is the simulator's one dispatch loop: it merges
+those micro-events with the main heap's events in global ``(when, seq)``
+order and dispatches both, the heap's ones exactly as the kernel would.
 
 The contract is **byte identity** with the scalar path, proven by the
 golden dispatch trace and the figure/scenario fixtures:
@@ -67,7 +69,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from heapq import heappop, heappush
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.net.network import _SendAttemptState
 from repro.overlay.skipnet.messages import OverlayPing, OverlayPingAck
@@ -505,51 +507,22 @@ class LanePlane:
         entry.outstanding.clear()
 
     # ------------------------------------------------------------------
-    # Scheduling interface used by the kernel
+    # The dispatch loop of a laned world
     # ------------------------------------------------------------------
-    def next_key(self):
-        """(when, seq) of the next live micro-event, or None."""
-        if not self._entries:
-            return None
-        tq = self._timeouts
-        while tq and not tq[0].live:
-            tq.popleft()
-        sq = self._sweeps
-        while sq and not sq[0].live:
-            sq.popleft()
-        q = self._q
-        while q and not q[0][3].live:
-            heappop(q)
-        when = None
-        seq = 0
-        if q:
-            head = q[0]
-            when = head[0]
-            seq = head[1]
-        if tq:
-            f = tq[0]
-            if when is None or f.timeout_when < when or (
-                f.timeout_when == when and f.timeout_seq < seq
-            ):
-                when = f.timeout_when
-                seq = f.timeout_seq
-        if sq:
-            e = sq[0]
-            if when is None or e.sweep_when < when or (
-                e.sweep_when == when and e.sweep_seq < seq
-            ):
-                when = e.sweep_when
-                seq = e.sweep_seq
-        if when is None:
-            return None
-        return (when, seq)
-
     def advance(self, until: Optional[float], budget: Optional[int],
-                honor_stop: bool = True) -> int:
-        """Dispatch due micro-events while they precede the main heap's
-        next live event (re-checked every iteration: lane work can push
-        real events).  Returns the number dispatched; the caller adds it
-        to the simulator's event count.
+                predicate: Optional[Callable[[], bool]] = None) -> int:
+        """Dispatch the main heap's events and the micro-events in global
+        ``(when, seq)`` order: the simulator's dispatch loop while any
+        node is laned.  A heap event is dispatched in place, exactly as
+        the kernel's own loop does it.
+
+        Returns the number of events dispatched, heap and micro alike
+        (:attr:`micro_dispatched` counts only the latter), when the next
+        event lies past ``until``, ``budget`` events were dispatched,
+        ``predicate()`` (checked after each event; never given with a
+        budget) held, :meth:`Simulator.stop` was called, or no node is
+        laned any more; only that last return leaves the predicate
+        unchecked for the last event, to the kernel's loop.
 
         This is the hottest loop in the simulator at scale (~95% of all
         dispatches in a 16,000-node steady window), so the four flight
@@ -559,12 +532,14 @@ class LanePlane:
         add an earlier timeout or sweep (both queues are monotone and
         only :meth:`_do_sweep` appends), so the cache can only go stale
         *early* — a completed flight dying at the timeout head — which
-        the validation step below resolves before acting on it."""
+        the validation step below resolves before acting on it.  A heap
+        event that absorbs a node recomputes the barrier, and a fault or
+        topology change refreshes what the locals hold."""
         self._check_invalidations()
-        entries = self._entries
-        if not entries:
+        if not self._entries:
             return 0
         sim = self._sim
+        faults = self._faults
         q = self._q
         tq = self._timeouts
         sq = self._sweeps
@@ -583,7 +558,7 @@ class LanePlane:
         busy_map = self._busy
         connections = self._connections
         faults_clear = self._faults_clear
-        can_comm = self._faults.can_communicate
+        can_comm = faults.can_communicate
         ctr_trans = self._ctr_transmissions
         ctr_deliv = self._ctr_deliveries
         ctr_msgs = self._ctr_messages
@@ -591,18 +566,22 @@ class LanePlane:
         ctr_ack = self._ctr_ack
         inf = float("inf")
         until_f = inf if until is None else until
-        limit = inf if budget is None else budget
+        # The dispatch count at which to stop (budget) or, with a
+        # predicate, to check it next (the caller checked it already).
+        limit = 1 if predicate is not None else (inf if budget is None else budget)
         dispatched = 0
-        # Cache of the real heap's head key, invalidated by length change:
-        # every push (a lane-called listener scheduling real work, a drop
-        # materializing a retry) grows the heap, and only the shed loop
-        # below pops it.  A pure cancel leaves the length unchanged but
-        # can only make the cached key *conservative* (we break to the
-        # kernel, which sheds and re-enters) — never make it miss an
-        # earlier real event.
+        real = 0
+        # Cache of the real heap's head, invalidated by length change and
+        # after every heap dispatch: every push (a lane-called listener
+        # scheduling real work, a drop materializing a retry) grows the
+        # heap.  A pure cancel leaves the length unchanged, so the head is
+        # re-validated before it is dispatched; a cancelled one can only
+        # make the cached key *conservative*, never miss an earlier event.
         real_len = -1
         real_when = inf
         real_seq = 0
+        real_entry = None
+        absorbs = self.absorbs
 
         def barrier():
             """(when, seq, timeout_flight, sweep_entry) of the earliest
@@ -628,14 +607,10 @@ class LanePlane:
 
         b_when, b_seq = barrier()[:2]
 
-        if honor_stop and sim._stop_requested:
-            return 0
         # The stop flag can only change inside bodies that run user code
-        # (listeners, sweeps): those re-check it, so the hot iterations
-        # skip the lookup.
+        # (heap events, listeners, sweeps): those re-check it and set
+        # limit to end the loop, so the hot iterations skip the lookup.
         while True:
-            if dispatched >= limit:
-                break
             head = None
             if q:
                 head = q[0]
@@ -650,25 +625,57 @@ class LanePlane:
                     seq = b_seq
             else:
                 if b_when == inf:
-                    break
+                    break  # nobody is laned: the kernel's loop takes over
                 when = b_when
                 seq = b_seq
+            if dispatched >= limit:
+                if predicate is None or predicate() or sim._stop_requested:
+                    break
+                limit = dispatched + 1
             # Does a real event come first?
             if len(heap) != real_len:
                 while heap:
-                    e0 = heap[0]
-                    if e0[1] in pending:
+                    real_entry = heap[0]
+                    if real_entry[1] in pending:
                         break
                     hpop(heap)
                 real_len = len(heap)
                 if real_len:
-                    e0 = heap[0]
-                    real_when = e0[0]
-                    real_seq = e0[1]
+                    real_when = real_entry[0]
+                    real_seq = real_entry[1]
                 else:
                     real_when = inf
             if real_when < when or (real_when == when and real_seq < seq):
-                break
+                if real_when > until_f:
+                    break
+                if heap[0] is not real_entry or real_seq not in pending:
+                    real_len = -1  # cancelled since it was cached
+                    continue
+                # The kernel's dispatch of a heap event, in place.
+                hpop(heap)
+                pending.remove(real_seq)
+                clock._now = real_when
+                if trace is not None:
+                    trace.record("dispatch", real_entry[3])
+                real_entry[2]()
+                dispatched += 1
+                real += 1
+                # Re-read what the event can have changed.  Of its lane
+                # work, only an absorb can queue a timeout or sweep before
+                # the cached barrier; ejects and flushes kill heads, which
+                # the barrier validation skips.
+                if (faults.mutation_count != self._fault_gen
+                        or self._topology.generation != self._gen):
+                    self._check_invalidations()
+                    faults_clear = self._faults_clear
+                    connections = self._connections
+                if self.absorbs != absorbs:
+                    absorbs = self.absorbs
+                    b_when, b_seq = barrier()[:2]
+                real_len = -1
+                if sim._stop_requested:
+                    limit = dispatched
+                continue
             if when > until_f:
                 break
 
@@ -696,8 +703,8 @@ class LanePlane:
                 nsw.sweep_seq = -1
                 self._do_sweep(nsw, when)
                 b_when, b_seq = barrier()[:2]
-                if honor_stop and sim._stop_requested:
-                    break
+                if sim._stop_requested:
+                    limit = dispatched
                 continue
 
             hpop(q)
@@ -784,8 +791,8 @@ class LanePlane:
                 for listener, watched in rec[12]:
                     if payload or watched is None or src in watched:
                         listener(src, payload, False)
-                if honor_stop and sim._stop_requested:
-                    break
+                if sim._stop_requested:
+                    limit = dispatched
             elif kind == _ACK_ATTEMPT:
                 # Mirror of _SendAttemptState.attempt (returning ack).
                 if trace is not None:
@@ -834,12 +841,12 @@ class LanePlane:
                 for listener, watched in entry.listeners:
                     if payload or watched is None or nbr in watched:
                         listener(nbr, payload, True)
-                if honor_stop and sim._stop_requested:
-                    break
+                if sim._stop_requested:
+                    limit = dispatched
             else:
                 self._retry(f, kind == _ACK_RETRY, when)
 
-        self.micro_dispatched += dispatched
+        self.micro_dispatched += dispatched - real
         return dispatched
 
     # ------------------------------------------------------------------
